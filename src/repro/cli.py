@@ -407,8 +407,8 @@ def _cmd_sort(args) -> int:
         if plan is not None:
             print(f"  planner: chose {plan.engine} "
                   f"(source={plan.source}, predicted {plan.predicted_ms:.1f} ms)")
-            # One-shot process: flush observations below the autosave
-            # threshold so the next invocation warm-starts from them.
+            # Persist what this run learned: the next invocation
+            # warm-starts from it.
             sorter.planner.save()
         if result.modeled_ms is not None:
             print(f"  modeled device time: {result.modeled_ms:.1f} ms")

@@ -28,6 +28,7 @@ import numpy as np
 from .bucketing import BucketResult, bucketize
 from .config import DEFAULT_CONFIG, SortConfig
 from .insertion import sort_buckets
+from .radix import radix_sort_rows
 from .splitters import SplitterResult, select_splitters
 from .validation import assert_batch_sorted
 
@@ -252,14 +253,16 @@ class GpuArraySort:
         numeric, with at least one column (see :func:`validate_batch`).
 
         NaN handling follows ``config.nan_policy``: ``"raise"`` rejects
-        the batch here at the boundary; ``"sort_to_end"`` sorts
-        NaN-containing rows on a host path with ``np.sort`` semantics
-        (NaNs after every finite value and +inf) while NaN-free rows run
-        the normal pipeline — in that case ``splitters``/``buckets`` on
-        the result describe only the NaN-free rows.  When the planner
-        chooses the ``"radix"`` engine, NaN batches are sorted whole:
-        that engine realizes the same order via its canonical-NaN key
-        mapping, no split needed.
+        a float batch holding any NaN before writing to it (so an
+        ``inplace=True`` caller's batch is untouched); ``"sort_to_end"``
+        gives ``np.sort`` order, NaNs after every finite value and +inf.
+        A ``"radix"`` plan sorts the batch whole — its row sort realizes
+        that order in key space, so no per-row NaN probe runs.  Every
+        other engine splits NaN-carrying rows off to ``np.sort`` and
+        runs the NaN-free rows through the pipeline; ``splitters``/
+        ``buckets`` on the result then describe only those rows.  A
+        planned call reports its whole wall time, split included, to
+        the planner.
         """
         batch = validate_batch(batch)
         if batch.shape[0] == 0:
@@ -293,25 +296,10 @@ class GpuArraySort:
             work = batch.astype(batch.dtype, copy=True)
         reference = batch.copy() if self.verify else None
 
-        nan_mask = None
-        if work.dtype.kind == "f":
-            row_has_nan = np.isnan(work).any(axis=1)
-            if row_has_nan.any():
-                if self.config.nan_policy == "raise":
-                    raise ValueError(
-                        f"{int(row_has_nan.sum())} of {work.shape[0]} rows "
-                        "contain NaN; no total order (use "
-                        "SortConfig(nan_policy='sort_to_end') to keep them)"
-                    )
-                nan_mask = row_has_nan
-
-        if nan_mask is not None and not (plan is not None and plan.engine == "radix"):
-            result = self._sort_with_nan_rows(work, nan_mask)
+        if plan is not None:
+            result = self._sort_planned(work, plan)
         else:
-            # A radix plan takes NaN-carrying batches whole: the engine
-            # realizes sort_to_end in key space (canonical-NaN keys sort
-            # above +inf), so no split/post-pass is needed.
-            result = self._dispatch(work, plan=plan)
+            result = self._split_nan_rows(work, self._dispatch)
 
         result.scratch = scratch
         if self.verify:
@@ -368,28 +356,43 @@ class GpuArraySort:
         return perm
 
     # -- engines ----------------------------------------------------------------
-    def _dispatch(self, work: np.ndarray, *, plan=None) -> SortResult:
+    def _dispatch(self, work: np.ndarray) -> SortResult:
         if self.engine == "vectorized":
-            return self._sort_vectorized(work, plan=plan)
+            return self._sort_vectorized(work)
         if self.engine == "sim":
             return self._sort_sim(work)
         return self._sort_model(work)
 
-    def _sort_with_nan_rows(self, work: np.ndarray, nan_mask: np.ndarray) -> SortResult:
-        """``nan_policy="sort_to_end"``: split the batch by poisoning.
+    def _split_nan_rows(self, work: np.ndarray, engine) -> SortResult:
+        """Run ``engine`` (a ``work -> SortResult`` callable) on ``work``,
+        splitting NaN-carrying rows off a float batch first.
 
-        NaN-free rows run the configured engine as one (smaller) batch;
-        NaN-carrying rows are sorted on the host with ``np.sort``, whose
-        NaN-to-the-end order is the policy's contract.  The engine cannot
-        take them: NaN defeats the splitter range comparisons (every
-        ``lo <= v < hi`` is false), and the sim kernels would silently
-        drop the element during write-back.
+        Integer and NaN-free batches go to ``engine`` whole.  Otherwise
+        ``nan_policy="raise"`` rejects the batch here, before any write,
+        and ``"sort_to_end"`` splits it by poisoning: NaN-free rows run
+        ``engine`` as one (smaller) batch; NaN-carrying rows are sorted
+        on the host with ``np.sort``, whose NaN-to-the-end order is the
+        policy's contract.  The engine cannot take them: NaN defeats the
+        splitter range comparisons (every ``lo <= v < hi`` is false),
+        and the sim kernels would silently drop the element during
+        write-back.
         """
+        if work.dtype.kind != "f":
+            return engine(work)
+        nan_mask = np.isnan(work).any(axis=1)
+        if not nan_mask.any():
+            return engine(work)
+        if self.config.nan_policy == "raise":
+            raise ValueError(
+                f"{int(nan_mask.sum())} of {work.shape[0]} rows "
+                "contain NaN; no total order (use "
+                "SortConfig(nan_policy='sort_to_end') to keep them)"
+            )
         clean_mask = ~nan_mask
         sub = None
         if clean_mask.any():
             clean = np.ascontiguousarray(work[clean_mask])
-            sub = self._dispatch(clean)
+            sub = engine(clean)
             work[clean_mask] = sub.batch
         work[nan_mask] = np.sort(work[nan_mask], axis=1)
         return SortResult(
@@ -401,12 +404,7 @@ class GpuArraySort:
             modeled_ms=sub.modeled_ms if sub is not None else None,
         )
 
-    def _sort_vectorized(self, work: np.ndarray, *, plan=None) -> SortResult:
-        # Planner path: execute the chosen plan, report the measured
-        # wall time back so the planner's per-shape EMA converges on the
-        # engine this host actually runs fastest.
-        if plan is not None:
-            return self._sort_planned(work, plan)
+    def _sort_vectorized(self, work: np.ndarray) -> SortResult:
         # Sharded multicore path: row shards are data-independent, so the
         # executor's output is identical to the serial path.  A custom
         # sampler is host-side state the workers cannot share; fall back
@@ -456,19 +454,24 @@ class GpuArraySort:
     def _sort_planned(self, work: np.ndarray, plan) -> SortResult:
         """Execute one :class:`~repro.planner.ExecutionPlan` and report back.
 
-        Serial plans run the regular (arena-backed) fused path; sharded
-        plans run the planner's cached executor instance.  Either way
-        the measured wall time feeds ``planner.observe`` so the next
-        same-shape batch dispatches on evidence, not prediction.
+        Radix plans sort the whole batch, NaN rows included; serial
+        plans run the regular (arena-backed) fused path and sharded
+        plans the planner's cached executor instance, both behind the
+        NaN-row split.  Either way the measured wall time feeds
+        ``planner.observe`` so the next same-shape batch dispatches on
+        evidence, not prediction.
         """
         t0 = time.perf_counter()
-        executor = self._planner.executor_for(plan)
         if plan.engine == "radix":
             result = self._sort_radix(work)
-        elif executor is None:
-            result = self._sort_vectorized(work)
         else:
-            result = executor.sort_batch(work, self.config)
+            executor = self._planner.executor_for(plan)
+            if executor is None:
+                result = self._split_nan_rows(work, self._sort_vectorized)
+            else:
+                result = self._split_nan_rows(
+                    work, lambda rows: executor.sort_batch(rows, self.config)
+                )
         elapsed_ms = (time.perf_counter() - t0) * 1e3
         self._planner.observe(plan, elapsed_ms)
         # Decision provenance for observability/tests (dynamic attribute,
@@ -482,16 +485,13 @@ class GpuArraySort:
         No phase-1 sampling, no bucket metadata — the whole batch is
         sorted through :func:`repro.core.radix.radix_sort_rows`, which
         honors ``nan_policy="sort_to_end"`` via the canonical-NaN key
-        mapping.  ``splitters``/``buckets`` are ``None`` on the result:
-        this engine never forms buckets.  NaN-freeness under
-        ``nan_policy="raise"`` was already enforced at the ``sort()``
-        boundary, so the engine skips its own probe.
+        mapping and ``"raise"`` via one ``min()`` probe that runs before
+        any write.  ``splitters``/``buckets`` are ``None`` on the
+        result: this engine never forms buckets.
         """
-        from .radix import radix_sort_rows  # local: keeps import cheap
-
         t0 = time.perf_counter()
         radix_sort_rows(
-            work, nan_policy="sort_to_end", workspace=self.workspace
+            work, nan_policy=self.config.nan_policy, workspace=self.workspace
         )
         return SortResult(
             batch=work,

@@ -41,9 +41,10 @@ class SortConfig:
     #: What to do with float rows containing NaN.  ``"raise"`` (default)
     #: rejects the batch at the API boundary — NaN has no total order, so
     #: the splitter comparisons would silently mis-bucket it.
-    #: ``"sort_to_end"`` routes NaN-containing rows through a host path
-    #: with ``np.sort`` semantics: NaNs land after every other value
-    #: (including +inf); the NaN-free rows still run the normal pipeline.
+    #: ``"sort_to_end"`` gives ``np.sort`` semantics: NaNs land after
+    #: every other value (including +inf).  A radix plan sorts the batch
+    #: whole; other engines route NaN-containing rows through ``np.sort``
+    #: while the NaN-free rows run the normal pipeline.
     nan_policy: str = "raise"
     #: Vectorized engine only: fuse phases 2+3 into one in-place key sort
     #: (:mod:`repro.core.fused`) instead of the paper-faithful separate

@@ -220,7 +220,7 @@ def save_profile(
     Concurrency contract: the payload is staged in a per-call unique
     temp file *in the target directory* (``tempfile.mkstemp``, so
     racing threads never share a staging path — a per-PID name is not
-    enough once the sort service's worker threads autosave) and
+    enough once several services in one process save on close) and
     published with ``os.replace``.  Any number of processes or threads
     racing can only ever leave one writer's complete file — never an
     interleaving.  Readers either see a whole valid cache or, per

@@ -25,14 +25,21 @@ sampling/partition parameters per input shape, the planner chooses the
 
 Shape classes quantize ``log2`` of both dimensions, so a streaming
 workload with jittering batch sizes still shares one learned entry.
+The candidates are priced for the first batch of a shape class and
+reused for the rest of it (the EMA that picks among them is per class
+anyway), so after that batch ``plan()`` is a lookup plus the EMA
+argmin.
 Learned timings persist in the same JSON cache as the calibration
-(:mod:`repro.planner.calibrate`), making the second process start
-already warm.
+(:mod:`repro.planner.calibrate`) when :meth:`ExecutionPlanner.save` is
+called — explicitly, by the CLI, or by :meth:`SortService.close
+<repro.service.SortService.close>` — never from the sorting thread's
+``observe()``.  The next process then starts already warm.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import threading
 from pathlib import Path
@@ -83,8 +90,27 @@ class ExecutionPlan:
     min_rows_per_worker: int = DEFAULT_MIN_ROWS_PER_WORKER
 
 
+@dataclasses.dataclass(frozen=True)
+class _PricedClass:
+    """One shape class's candidate plans, priced once by ``plan()``."""
+
+    #: Every candidate, in the order :meth:`ExecutionPlanner._candidates`
+    #: built them.
+    candidates: tuple
+    #: Candidates within ``explore_factor`` of the cheapest prediction,
+    #: cheapest first: the exploration order.
+    explorable: tuple
+    #: engine -> its plan with ``source="observed"``, prebuilt so the
+    #: steady state allocates no plan objects.
+    observed: Dict[str, ExecutionPlan]
+
+
+@functools.lru_cache(maxsize=4096)
 def shape_class_key(num_rows: int, row_len: int, dtype) -> str:
-    """Quantized shape-class key: dtype + rounded log2 of each dimension."""
+    """Quantized shape-class key: dtype + rounded log2 of each dimension.
+
+    Memoized: ``plan()`` calls it on every batch.
+    """
     dtype = np.dtype(dtype)
     big_n = round(math.log2(max(1, num_rows)))
     small_n = round(math.log2(max(1, row_len)))
@@ -145,6 +171,7 @@ class _PlannerBase:
         return False
 
 
+@_sanitizer.sanitize_guarded
 class ExecutionPlanner(_PlannerBase):
     """Cost-model seeded, observation-refined engine chooser.
 
@@ -175,7 +202,6 @@ class ExecutionPlanner(_PlannerBase):
         explore_factor: float = 8.0,
         ema_alpha: float = 0.3,
         min_rows_per_worker: int = DEFAULT_MIN_ROWS_PER_WORKER,
-        autosave_every: int = 32,
     ) -> None:
         super().__init__()
         if explore_factor < 1.0:
@@ -185,7 +211,6 @@ class ExecutionPlanner(_PlannerBase):
         self.explore_factor = float(explore_factor)
         self.ema_alpha = float(ema_alpha)
         self.min_rows_per_worker = int(min_rows_per_worker)
-        self.autosave_every = int(autosave_every)
         self._cache_path: Optional[Path]
         if cache_path is self._UNSET:
             self._cache_path = None  # resolved lazily via default_cache_path
@@ -195,8 +220,10 @@ class ExecutionPlanner(_PlannerBase):
             self._persist = cache_path is not None
         self._profile = profile
         #: shape key -> engine -> {"ema_ms": float, "count": int}
-        self._observations: Dict[str, Dict[str, Dict[str, float]]] = {}
-        self._unsaved = 0
+        self._observations: Dict[str, Dict[str, Dict[str, float]]] = {}  # guarded-by: _lock
+        #: (shape key, config) -> candidate plans, priced on the first
+        #: plan() of the shape class.
+        self._priced: Dict[tuple, _PricedClass] = {}  # guarded-by: _lock
 
     # -- profile lifecycle -------------------------------------------------
     @property
@@ -211,20 +238,21 @@ class ExecutionPlanner(_PlannerBase):
         return self._profile
 
     def _merge_observations(self, persisted: Dict[str, object]) -> None:
-        for key, engines in persisted.items():
-            if not isinstance(engines, dict):
-                continue
-            slot = self._observations.setdefault(str(key), {})
-            for engine, entry in engines.items():
-                if (
-                    engine not in slot
-                    and isinstance(entry, dict)
-                    and isinstance(entry.get("ema_ms"), (int, float))
-                ):
-                    slot[str(engine)] = {
-                        "ema_ms": float(entry["ema_ms"]),
-                        "count": int(entry.get("count", 1)),
-                    }
+        with self._lock:
+            for key, engines in persisted.items():
+                if not isinstance(engines, dict):
+                    continue
+                slot = self._observations.setdefault(str(key), {})
+                for engine, entry in engines.items():
+                    if (
+                        engine not in slot
+                        and isinstance(entry, dict)
+                        and isinstance(entry.get("ema_ms"), (int, float))
+                    ):
+                        slot[str(engine)] = {
+                            "ema_ms": float(entry["ema_ms"]),
+                            "count": int(entry.get("count", 1)),
+                        }
 
     # -- planning ----------------------------------------------------------
     def _candidates(
@@ -297,63 +325,82 @@ class ExecutionPlanner(_PlannerBase):
     ) -> ExecutionPlan:
         """Choose the engine for one ``(num_rows, row_len, dtype)`` batch."""
         key = shape_class_key(num_rows, row_len, dtype)
-        candidates = self._candidates(num_rows, row_len, dtype, config, key)
-        chosen = self._choose(key, candidates)
+        memo = (key, config)
+        with self._lock:
+            priced = self._priced.get(memo)
+        if priced is None:
+            # Priced outside the lock: the first call may calibrate.
+            fresh = self._price(
+                self._candidates(num_rows, row_len, dtype, config, key)
+            )
+        with self._lock:
+            if priced is None:
+                priced = self._priced.setdefault(memo, fresh)
+            chosen = self._choose_locked(key, priced)
         self._record_plan(key, chosen.engine)
         return chosen
 
-    def _choose(self, key: str, candidates: list) -> ExecutionPlan:
-        if len(candidates) == 1:
-            return candidates[0]
-        observed = self._observations.get(key, {})
+    def _price(self, candidates: list) -> _PricedClass:
         best_predicted = min(c.predicted_ms for c in candidates)
         cutoff = self.explore_factor * max(best_predicted, 1e-9)
-        unexplored = [
-            c
-            for c in candidates
-            if c.engine not in observed and c.predicted_ms <= cutoff
-        ]
-        if unexplored:
-            choice = min(unexplored, key=lambda c: c.predicted_ms)
-            source = "explore" if observed else "model"
-            return dataclasses.replace(choice, source=source)
+        return _PricedClass(
+            candidates=tuple(candidates),
+            explorable=tuple(sorted(
+                (c for c in candidates if c.predicted_ms <= cutoff),
+                key=lambda c: c.predicted_ms,
+            )),
+            observed={
+                c.engine: dataclasses.replace(c, source="observed")
+                for c in candidates
+            },
+        )
+
+    def _choose_locked(self, key: str, priced: _PricedClass) -> ExecutionPlan:
+        if len(priced.candidates) == 1:
+            return priced.candidates[0]
+        observed = self._observations.get(key, {})
+        for choice in priced.explorable:
+            if choice.engine not in observed:
+                source = "explore" if observed else "model"
+                return dataclasses.replace(choice, source=source)
         choice = min(
-            candidates,
+            priced.candidates,
             key=lambda c: observed.get(c.engine, {}).get("ema_ms", c.predicted_ms),
         )
-        return dataclasses.replace(choice, source="observed")
+        return priced.observed[choice.engine]
 
     def observe(self, plan: ExecutionPlan, elapsed_ms: float) -> None:
         """Fold one measured batch wall time into the per-shape EMA."""
         if not plan.shape_key or elapsed_ms < 0:
             return
-        slot = self._observations.setdefault(plan.shape_key, {})
-        entry = slot.get(plan.engine)
-        if entry is None:
-            slot[plan.engine] = {"ema_ms": float(elapsed_ms), "count": 1}
-        else:
-            entry["ema_ms"] += self.ema_alpha * (elapsed_ms - entry["ema_ms"])
-            entry["count"] += 1
-        self._unsaved += 1
-        if self._persist and self._unsaved >= self.autosave_every:
-            self.save()
+        with self._lock:
+            slot = self._observations.setdefault(plan.shape_key, {})
+            entry = slot.get(plan.engine)
+            if entry is None:
+                slot[plan.engine] = {"ema_ms": float(elapsed_ms), "count": 1}
+            else:
+                entry["ema_ms"] += self.ema_alpha * (elapsed_ms - entry["ema_ms"])
+                entry["count"] += 1
 
     def observations(self, shape_key: Optional[str] = None):
         """Learned timings (a copy), for diagnostics and the benchmark."""
         import copy
 
-        if shape_key is not None:
-            return copy.deepcopy(self._observations.get(shape_key, {}))
-        return copy.deepcopy(self._observations)
+        with self._lock:
+            if shape_key is not None:
+                return copy.deepcopy(self._observations.get(shape_key, {}))
+            return copy.deepcopy(self._observations)
 
     def save(self) -> bool:
-        """Persist profile + observations to the JSON cache (best effort)."""
+        """Persist profile + observations to the JSON cache (best effort).
+
+        The only write path: ``observe()`` never touches the file.  The
+        snapshot is taken under the lock and written outside it, so
+        concurrent sorts keep planning while the file is fsynced.
+        """
         if not self._persist:
             return False
-        ok = save_profile(self.profile, self._observations, self._cache_path)
-        if ok:
-            self._unsaved = 0
-        return ok
+        return save_profile(self.profile, self.observations(), self._cache_path)
 
 
 class StaticPlanner(_PlannerBase):

@@ -440,10 +440,13 @@ class SortService:
 
         ``drain=True`` (default) sorts and delivers everything already
         queued first; ``drain=False`` fails queued requests with
-        :class:`ServiceClosedError`.  Idempotent.
+        :class:`ServiceClosedError`.  The first close then saves the
+        backend planner's learned timings, so the next service starts
+        warm.  Idempotent.
         """
         with self._wakeup:
-            if not self._closed:
+            first_close = not self._closed
+            if first_close:
                 self._closed = True
                 self._draining = bool(drain)
                 dropped = [] if drain else self._batcher.drop_all()
@@ -456,6 +459,11 @@ class SortService:
                     ServiceClosedError("service closed before dispatch")
                 )
         self._worker.join(timeout)
+        if first_close:
+            planner = getattr(self._sorter, "planner", None)
+            save = getattr(planner, "save", None)
+            if callable(save):
+                save()
 
     @property
     def closed(self) -> bool:

@@ -514,9 +514,13 @@ def sanitize_guarded(cls=None, *, force: bool = False):
         original_init = target.__init__
 
         def __init__(self, *args, **kwargs):
+            # A sanitized subclass's __init__ runs this wrapper around
+            # its base's: only the outermost one publishes.
+            outermost = "_san_published" not in self.__dict__
             self.__dict__["_san_published"] = False
             original_init(self, *args, **kwargs)
-            self.__dict__["_san_published"] = True
+            if outermost:
+                self.__dict__["_san_published"] = True
 
         __init__.__wrapped__ = original_init
         __init__.__name__ = "__init__"

@@ -276,3 +276,48 @@ class TestEngineCrossPin:
         )
         with pytest.raises(ValueError):
             sorter.sort(batch)
+
+
+class TestRadixPlanNanContract:
+    """A radix plan sorts NaN-carrying batches whole (no per-row split):
+    ``sort_to_end`` must still be byte-identical to ``np.sort``, and
+    ``raise`` must reject before touching an in-place caller's batch."""
+
+    @staticmethod
+    def _poisoned(rng, dtype, rows=24, cols=40):
+        dtype = np.dtype(dtype)
+        batch = rng.standard_normal((rows, cols)).astype(dtype)
+        specials = special_floats(dtype)  # +-0.0, +-inf, two NaN payloads
+        picked = rng.choice(rows, rows // 2, replace=False)
+        for row in picked:
+            batch[row, rng.choice(cols, specials.size, replace=False)] = specials
+        return batch
+
+    @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+    def test_raise_inplace_leaves_batch_untouched(self, rng, dtype):
+        from repro.core import SortConfig
+
+        batch = self._poisoned(rng, dtype)
+        before = batch.tobytes()
+        sorter = GpuArraySort(
+            SortConfig(nan_policy="raise"), planner="radix"
+        )
+        with pytest.raises(ValueError, match="NaN"):
+            sorter.sort(batch, inplace=True)
+        assert batch.tobytes() == before
+
+    @pytest.mark.parametrize("descending", [False, True])
+    @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+    def test_sort_to_end_matches_numpy(self, rng, dtype, descending):
+        from repro.core import SortConfig
+
+        batch = self._poisoned(rng, dtype)
+        expected = np.sort(batch, axis=1)
+        if descending:
+            expected = expected[:, ::-1]
+        sorter = GpuArraySort(
+            SortConfig(nan_policy="sort_to_end"), planner="radix"
+        )
+        result = sorter.sort(batch, descending=descending)
+        assert result.execution_plan.engine == "radix"
+        assert result.batch.tobytes() == np.ascontiguousarray(expected).tobytes()

@@ -343,6 +343,50 @@ class TestExecutionPlanner:
         assert sum(fresh.values()) == 3
 
 
+class TestPlannerHotPath:
+    def test_observe_does_no_file_io(self, tmp_path, monkeypatch):
+        import repro.planner.planner as planner_module
+
+        saves = []
+
+        def counting_save(*args, **kwargs):
+            saves.append(args)
+            return True
+
+        monkeypatch.setattr(planner_module, "save_profile", counting_save)
+        path = tmp_path / "planner.json"
+        planner = ExecutionPlanner(STUB, cache_path=path)
+        for _ in range(200):
+            plan = planner.plan(*SMALL, np.float32)
+            planner.observe(plan, 5.0)
+        assert saves == []
+        assert not path.exists()
+        assert planner.save()
+        assert len(saves) == 1  # the explicit save is the only write
+
+    def test_plan_prices_a_shape_class_once(self, monkeypatch):
+        import repro.planner.planner as planner_module
+
+        calls = []
+
+        def counting_predict(*args, **kwargs):
+            calls.append(args)
+            return predict_ms(*args, **kwargs)
+
+        monkeypatch.setattr(planner_module, "predict_ms", counting_predict)
+        planner = make_planner()
+        first = planner.plan(*SMALL, np.float32)
+        assert calls  # the first batch of a class prices its candidates
+        calls.clear()
+        for rows in (SMALL[0], SMALL[0] + 100, SMALL[0] - 100):
+            plan = planner.plan(rows, SMALL[1], np.float32)
+            assert plan.shape_key == first.shape_key
+            planner.observe(plan, 5.0)
+        assert calls == []
+        planner.plan(*SMALL, np.float64)  # a new class is priced again
+        assert calls
+
+
 class TestStaticPlanner:
     @pytest.mark.parametrize(
         "mode,engine",
@@ -422,6 +466,10 @@ class TestSorterIntegration:
     def test_output_identical_across_planner_choices(self, rng):
         batch = self._batch(rng)
         baseline = GpuArraySort().sort(batch)
+        # NaN rows split off every non-radix plan, sharded ones included.
+        poisoned = batch.copy()
+        poisoned[::7, 3] = np.nan
+        config = SortConfig(nan_policy="sort_to_end")
         planners = [
             "fused",
             StaticPlanner("sharded", workers=2, min_rows_per_worker=1),
@@ -430,6 +478,9 @@ class TestSorterIntegration:
         for planner in planners:
             result = GpuArraySort(planner=planner).sort(batch)
             assert result.batch.tobytes() == baseline.batch.tobytes(), planner
+            result = GpuArraySort(config, planner=planner).sort(poisoned)
+            assert result.batch.tobytes() == np.sort(poisoned, axis=1).tobytes()
+            assert result.execution_plan is not None
 
     def test_planned_result_records_the_plan_and_feeds_the_ema(self, rng):
         planner = make_planner()
@@ -444,6 +495,25 @@ class TestSorterIntegration:
         entry = planner.observations(plan.shape_key)[plan.engine]
         assert entry["count"] == 1
         assert entry["ema_ms"] > 0
+
+    def test_nan_shape_leaves_exploration(self, rng):
+        # A NaN-carrying batch under a non-radix plan is split; the split
+        # must still report to the planner, or that engine stays
+        # "unexplored" and is picked on every call.
+        planner = make_planner()
+        sorter = GpuArraySort(
+            SortConfig(nan_policy="sort_to_end"), planner=planner
+        )
+        batch = rng.standard_normal((64, 2000)).astype(np.float32)
+        batch[rng.choice(64, 8, replace=False), 7] = np.nan
+        expected = np.sort(batch, axis=1)
+        for _ in range(20):
+            result = sorter.sort(batch)
+            assert result.execution_plan is not None
+            assert result.batch.tobytes() == expected.tobytes()
+        (counts,) = planner.plan_counts().values()
+        assert counts.get("serial", 0) <= 1
+        assert sum(counts.values()) == 20
 
     def test_arena_result_repeated_sorts_stay_correct(self, rng):
         sorter = GpuArraySort(planner=StaticPlanner("fused"))

@@ -455,6 +455,27 @@ class TestSortService:
         with SortService(planner="fused", batch_target_rows=4) as service:
             assert service.sorter.planner is not None
 
+    def test_close_saves_the_planner_for_a_warm_start(self, rng, tmp_path):
+        from repro.planner import ExecutionPlanner, HostProfile
+
+        path = tmp_path / "planner.json"
+        stub = HostProfile(cpu_count=2, calibrated=True)
+        planner = ExecutionPlanner(stub, cache_path=path)
+        service = SortService(planner=planner, batch_target_rows=4,
+                              linger_ms=1.0)
+        for _ in range(3):
+            service.submit(rng.random((4, 64)).astype(np.float32)).result(
+                timeout=30
+            )
+        assert not path.exists()  # observe() never writes the cache
+        service.close()
+        learned = planner.observations()
+        assert learned
+
+        warm = ExecutionPlanner(cache_path=path)
+        assert warm.profile == stub  # loaded from the cache, not calibrated
+        assert warm.observations() == learned
+
     def test_priority_orders_equal_deadlines(self):
         batcher = DynamicBatcher(target_rows=2, max_batch_rows=2,
                                  linger_s=0.0)

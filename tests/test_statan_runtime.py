@@ -113,6 +113,26 @@ class TestGuardedAccess:
         assert rt.violations() == []
         del counter
 
+    def test_sanitized_subclass_init_is_exempt_until_it_returns(self, sanitized):
+        # A sanitized subclass of a sanitized class: the base __init__
+        # returning must not publish the object while the subclass's
+        # __init__ is still filling in its own guarded fields.
+        @rt.sanitize_guarded(force=True)
+        class Tally(_Counter):
+            def __init__(self):
+                super().__init__()
+                self._seen = {}  # guarded-by: _lock
+
+            def see_racy(self, key):
+                self._seen[key] = True
+
+        tally = Tally()
+        assert rt.violations() == []
+        with pytest.raises(rt.GuardedAccessError):
+            tally.see_racy("k")
+        with pytest.raises(rt.GuardedAccessError):
+            tally.bump_racy()  # the base's fields stay guarded
+
     def test_record_only_mode_collects_instead_of_raising(self, sanitized):
         rt.set_raise_on_violation(False)
         counter = _Counter()
