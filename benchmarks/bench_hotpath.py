@@ -13,9 +13,9 @@ Engines measured per cell
 ``radix``    the flat non-comparison row sort (``planner="radix"``,
              :mod:`repro.core.radix`) — no phase-1 sampling, no bucket
              metadata;
-``planner``  adaptive :class:`repro.planner.ExecutionPlanner` choosing
-             the engine per batch shape (warmed up before timing so its
-             exploration repeats are excluded).
+``planner``  the ``planner="auto"`` rule,
+             :class:`repro.planner.ExecutionPlanner` (warmed up before
+             timing).
 
 All engines are measured round-robin *within* each repeat so slow drifts
 in host load (thermal, cache, sibling processes) wash out across engines
@@ -36,7 +36,7 @@ Fig. 4 fused-vs-unfused speedup, pinned ≥ 2 by
 ``--gate-radix`` exits non-zero unless, on every large-n cell where the
 radix engine should win (``radix_expected`` — uniform float32/int32,
 n ≥ 2000), radix beats fused by ``--radix-min-speedup`` (default 1.5×)
-**and** the adaptive planner picked the radix engine there without any
+**and** the ``auto`` planner picked the radix engine there without any
 flag.  ``--check-radix-gate FILE`` re-evaluates that gate from a
 committed artifact's stored numbers (what ``make radix-gate`` runs), so
 CI pins the claim without re-benchmarking.
@@ -161,11 +161,10 @@ def run_grid(grid: str, repeats: int, workers: int,
              planner_warmup: int = DEFAULT_PLANNER_WARMUP) -> dict:
     cells = GRIDS[grid]
     results = []
-    # One planner for the whole grid: calibration runs once and per-shape
-    # observations never collide (shape-class keys).  cache_path=None keeps
-    # benchmark runs hermetic — nothing read from or written to the user's
-    # planner cache.
-    planner = ExecutionPlanner(cache_path=None)
+    # One planner for the whole grid: per-shape observations never
+    # collide (shape-class keys), and a private instance keeps the
+    # process-wide default planner untouched.
+    planner = ExecutionPlanner()
     for name, dtype, num_arrays, array_size in cells:
         batch = _make_batch(dtype, num_arrays, array_size)
         sorters = {
@@ -175,8 +174,8 @@ def run_grid(grid: str, repeats: int, workers: int,
             "radix": GpuArraySort(planner="radix"),
             "planner": GpuArraySort(planner=planner),
         }
-        # Warm the planner so its exploration of candidate engines (and
-        # the one-time host calibration) happens outside the timed region.
+        # Warm the planner outside the timed region, so the measured plan
+        # is an observed one.
         for _ in range(max(0, planner_warmup)):
             sorters["planner"].sort(batch)
         measured = _measure_round_robin(sorters, batch, repeats)
@@ -383,7 +382,7 @@ def apply_radix_gate(
     report: dict, min_speedup: float = DEFAULT_RADIX_MIN_SPEEDUP
 ) -> bool:
     """On every ``radix_expected`` cell, radix must beat fused by
-    ``min_speedup``× **and** the adaptive planner must have picked the
+    ``min_speedup``× **and** the ``auto`` planner must have picked the
     radix engine there on its own.
 
     Both conditions are recomputed from the stored per-cell numbers, so
@@ -428,8 +427,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--planner-warmup", type=int, default=DEFAULT_PLANNER_WARMUP,
-        help="untimed planner repeats per cell so engine exploration and "
-             "host calibration settle before measurement",
+        help="untimed planner repeats per cell before measurement",
     )
     parser.add_argument("--out", type=Path, default=None)
     parser.add_argument(

@@ -23,6 +23,15 @@ import numpy as np
 
 __all__ = ["main", "build_parser"]
 
+#: ``--planner`` values shared by every subcommand that takes one.
+PLANNER_CHOICES = ("auto", "fused", "sharded", "radix")
+
+
+def _add_planner_arg(parser: argparse.ArgumentParser, default, help_text: str) -> None:
+    parser.add_argument(
+        "--planner", choices=PLANNER_CHOICES, default=default, help=help_text
+    )
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -65,11 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the paper-faithful separate phase 2/3 passes instead of "
              "the fused single-pass engine",
     )
-    p_sort.add_argument(
-        "--planner", choices=["auto", "fused", "sharded", "radix"], default=None,
-        help="adaptive per-batch engine planning (vectorized engine only; "
-             "mutually exclusive with --workers): 'auto' learns the best "
-             "engine per batch shape, 'fused'/'sharded'/'radix' force one",
+    _add_planner_arg(
+        p_sort, None,
+        "per-batch engine planning (vectorized engine only; mutually "
+        "exclusive with --workers): 'auto' picks the radix row sort for "
+        "every supported dtype, 'fused'/'sharded'/'radix' force one engine",
     )
 
     p_fig = sub.add_parser("figures", help="print model-reproduced figure series")
@@ -128,10 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cap.add_argument("--workload", choices=["uniform", "normal"],
                        default="uniform")
     p_cap.add_argument("--seed", type=int, default=0)
-    p_cap.add_argument(
-        "--planner", choices=["auto", "fused", "sharded", "radix"],
-        default="auto",
-    )
+    _add_planner_arg(p_cap, "auto", "execution planner for each chunk's sorter")
     p_cap.add_argument("--verify", action="store_true",
                        help="verify each chunk after sorting")
     p_cap.add_argument(
@@ -230,10 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=["plain", "resilient"], default="plain",
         help="resilient wraps the sorter in retry/quarantine handling",
     )
-    p_srv.add_argument(
-        "--planner", choices=["auto", "fused", "sharded", "radix"], default=None,
-        help="execution planner handed to the backing sorter",
-    )
+    _add_planner_arg(p_srv, None, "execution planner handed to the backing sorter")
     p_srv.add_argument(
         "--unbatched", action="store_true",
         help="also run the per-request baseline and report the speedup",
@@ -282,10 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "bound (the fleet capacity knob)")
     p_flt.add_argument("--deadline-ms", type=float, default=None,
                        help="per-request deadline; late work is shed")
-    p_flt.add_argument(
-        "--planner", choices=["auto", "fused", "sharded", "radix"],
-        default=None,
-        help="execution planner spec handed to each worker's sorter",
+    _add_planner_arg(
+        p_flt, None, "execution planner spec handed to each worker's sorter"
     )
     p_flt.add_argument("--jitter-seed", type=int, default=None,
                        help="seed the router's retry_after jitter RNG "
@@ -405,11 +406,7 @@ def _cmd_sort(args) -> int:
                      else ")"))
         plan = getattr(result, "execution_plan", None)
         if plan is not None:
-            print(f"  planner: chose {plan.engine} "
-                  f"(source={plan.source}, predicted {plan.predicted_ms:.1f} ms)")
-            # Persist what this run learned: the next invocation
-            # warm-starts from it.
-            sorter.planner.save()
+            print(f"  planner: chose {plan.engine} (source={plan.source})")
         if result.modeled_ms is not None:
             print(f"  modeled device time: {result.modeled_ms:.1f} ms")
     elif args.technique == "sta":

@@ -116,13 +116,13 @@ class GpuArraySort:
     workers:
         Worker count for ``parallel``; defaults to the machine's cores.
     planner:
-        Adaptive per-batch engine choice (vectorized engine only, and
-        mutually exclusive with ``parallel`` — a planner *is* a dispatch
-        policy).  ``"auto"`` uses the process-wide
-        :class:`~repro.planner.ExecutionPlanner` (cost-model seeded,
-        refined online from observed batch timings, with the flat
-        ``"radix"`` row-sort engine among its candidates); ``"fused"`` /
-        ``"sharded"`` / ``"radix"`` force one engine via
+        Per-batch engine choice (vectorized engine only, and mutually
+        exclusive with ``parallel`` — a planner *is* a dispatch policy).
+        ``"auto"`` uses the process-wide
+        :class:`~repro.planner.ExecutionPlanner`: the flat ``"radix"``
+        row sort for every dtype it supports, else the fused serial
+        path (``longdouble``); ``"fused"`` / ``"sharded"`` /
+        ``"radix"`` force one engine via
         :class:`~repro.planner.StaticPlanner`; a planner instance passes
         through.  Implies a scratch arena (see ``workspace``).
     workspace:

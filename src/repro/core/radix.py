@@ -44,11 +44,9 @@ Strategies (``radix_sort_rows(strategy=...)``):
     kernels at a few ns/element, which interpreted digit passes cannot
     approach — each pass materializes several full-batch temporaries.
 ``"auto"``
-    Picks ``"direct"``.  The crossover the cost model prices
-    (``passes * N*n`` linear traffic vs ``N*n*log n`` comparisons)
-    never favors interpreted passes on a NumPy host; a compiled or
-    device backend would flip it, which is why the planner's cost term
-    (:func:`repro.planner.model.predict_ms`) takes the min of both.
+    Picks ``"direct"``.  The crossover (``passes * N*n`` linear traffic
+    vs ``N*n*log n`` comparisons) never favors interpreted passes on a
+    NumPy host; a compiled or device backend would flip it.
 
 Either strategy is byte-identical to ``np.sort(axis=1)`` on every
 supported dtype, including NaN placement under ``sort_to_end``.

@@ -21,7 +21,7 @@ Design points, each load-bearing:
 * **Lane-affinity routing.**  Requests are bucketed by the same
   ``(row_len, dtype)`` lane key the in-process batcher uses, and a lane
   sticks to one worker while load allows — so a worker's batcher sees
-  full lanes and its planner keeps hitting one calibrated shape class.
+  full lanes and its planner keeps hitting one shape class.
   Load wins when they conflict (least-outstanding-rows spill).
 * **Backpressure.**  When no worker can admit a request, ``submit``
   raises :class:`~repro.service.errors.RejectedError` whose
@@ -35,9 +35,10 @@ Design points, each load-bearing:
   pending requests are re-dispatched to survivors — never dropped — and
   if **no** worker survives, the parent itself sorts them through the
   resilience layer (:class:`~repro.resilience.ResilientSorter`).
-* **Shared calibration.**  The parent pre-warms the planner calibration
-  cache once before forking, so N workers load one host profile instead
-  of racing N redundant micro-calibrations.
+* **Per-worker planners.**  Each worker resolves its own ``planner``
+  spec.  ``"auto"`` is a dtype rule (:class:`~repro.planner.ExecutionPlanner`)
+  that reads no file, so workers share nothing and plan from their first
+  batch.
 
 Like the service, the fleet is clock-injectable only where it matters
 for tests (the router is fully clock-free); process liveness necessarily
@@ -171,7 +172,7 @@ class SortFleet:
     config / planner / backend:
         Passed to each worker's local :class:`~repro.service.SortService`
         (``planner`` as a *spec* string — each worker resolves its own
-        instance from the shared pre-warmed calibration cache).
+        instance).
     batch_target_rows / max_batch_rows / linger_ms / worker_max_queue_rows:
         Per-worker service batching knobs.  ``worker_max_queue_rows``
         defaults to ``4 * max_worker_queue_rows`` so a healthy worker
@@ -236,11 +237,6 @@ class SortFleet:
             worker_max_queue_rows = 4 * self.max_worker_queue_rows
         self._planner_spec = planner
         self._backend_spec = backend
-
-        # Shared calibration: warm the on-disk profile once, pre-fork,
-        # so every worker's planner loads it instead of re-calibrating.
-        if planner is not None:
-            self._prewarm_calibration()
 
         self._router = FleetRouter(
             max_worker_queue_rows=self.max_worker_queue_rows,
@@ -326,18 +322,6 @@ class SortFleet:
             target=self._collect, name="repro-fleet-collector", daemon=True
         )
         self._collector.start()
-
-    @staticmethod
-    def _prewarm_calibration() -> None:
-        try:
-            from ..planner.calibrate import load_or_calibrate
-
-            load_or_calibrate()
-        except Exception:
-            # Calibration is an optimization; workers that miss the
-            # cache calibrate themselves (slower first batch, still
-            # correct).  Count nothing: there is no recorder yet.
-            return
 
     def _await_ready(self, timeout_s: float) -> None:
         """Block until every worker posts ``("ready", id)``.

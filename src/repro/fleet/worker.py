@@ -61,9 +61,7 @@ class WorkerConfig:
     A plain frozen dataclass so it crosses ``fork``/``spawn`` start
     methods alike.  ``planner`` is a *spec* (name or ``None``), resolved
     inside the worker — each worker owns its planner instance and
-    arena; only the calibration cache on disk is shared (the parent
-    pre-warms it once before forking, so N workers read one profile
-    instead of racing N redundant calibrations).
+    arena.
     """
 
     config: SortConfig = DEFAULT_CONFIG

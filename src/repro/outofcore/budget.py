@@ -61,8 +61,9 @@ SAFETY_FACTOR = 1.25
 #:   stages the batch into a shared-memory slab (one more payload);
 #: * ``radix`` — the LSD path double-buffers the sortable-key space
 #:   (two more payloads in the worst ``strategy="lsd"`` case);
-#: * ``auto`` — the planner may pick any engine per chunk, so the plan
-#:   budgets for the worst case among them.
+#: * ``auto`` — the worst case among the engines.  That is ``radix``,
+#:   which ``planner="auto"`` picks for every dtype but ``longdouble``,
+#:   and it also covers a custom planner that picks any engine.
 ENGINE_EXTRA_COPIES = {
     "serial": 0.0,
     "thread": 0.0,
@@ -232,7 +233,7 @@ def plan_budget(
     under ``memory_budget``.
 
     ``engine`` selects the working-set model variant (``"auto"`` budgets
-    for the worst engine the planner may pick).  ``max_chunk_rows`` caps
+    for the worst engine any planner may pick).  ``max_chunk_rows`` caps
     the chunk even when the budget would allow more (0 = uncapped) —
     useful to force multi-chunk schedules in tests.
     """

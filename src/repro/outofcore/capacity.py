@@ -153,7 +153,7 @@ class CapacitySorter:
         rate, NaN policy) handed to the inner sorter.
     planner:
         Planner spec for the inner sorter (``"auto"`` default — the
-        adaptive planner picks the engine per chunk shape).  ``None``
+        ``radix`` row sort for every dtype it supports).  ``None``
         runs the plain fused path with a scratch arena.
     verify:
         Per-chunk verify-after-sort on the inner sorter (sortedness +
@@ -161,7 +161,7 @@ class CapacitySorter:
         even for huge runs).
     engine_model:
         Which engine's working-set variant the budget planner assumes
-        (``"auto"`` budgets for the worst planner candidate).
+        (``"auto"`` budgets for the worst engine any planner may pick).
     max_chunk_rows:
         Optional cap on chunk rows regardless of budget (0 = uncapped) —
         forces multi-chunk schedules in tests and benchmarks.

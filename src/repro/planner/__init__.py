@@ -1,32 +1,14 @@
-"""Adaptive execution planning for the batch-sort hot path.
+"""Execution planning for the batch-sort hot path.
 
-One fixed dispatch strategy does not win across the whole ``(N, n)``
-grid (see ``BENCH_hotpath.json``); this package picks the engine per
-batch shape instead:
-
-* :mod:`repro.planner.model` — calibrated host cost model that *ranks*
-  candidate engines before any measurement exists;
-* :mod:`repro.planner.calibrate` — the one-time micro-calibration and
-  its JSON cache (``~/.cache/repro/planner.json``, overridable via
-  ``$REPRO_PLANNER_CACHE``);
-* :mod:`repro.planner.planner` — :class:`ExecutionPlanner` (model-seeded,
-  exploration-guarded, EMA-refined) and :class:`StaticPlanner` (the
-  forced ``"fused"``/``"sharded"`` escape hatches).
+:mod:`repro.planner.planner` holds :class:`ExecutionPlanner` — the
+``planner="auto"`` rule: the flat ``radix`` row sort for every dtype it
+supports, else the ``serial`` fused path — and :class:`StaticPlanner`,
+which forces one engine (``"fused"``/``"sharded"``/``"process"``/
+``"radix"``).
 
 Entry point for users: ``GpuArraySort(planner="auto")``.
 """
 
-from .calibrate import (
-    CACHE_ENV,
-    CACHE_SCHEMA,
-    calibrate_host,
-    default_cache_path,
-    host_fingerprint,
-    load_or_calibrate,
-    load_profile,
-    save_profile,
-)
-from .model import DEFAULT_PROFILE, ENGINE_NAMES, HostProfile, predict_ms
 from .planner import (
     ExecutionPlan,
     ExecutionPlanner,
@@ -38,23 +20,11 @@ from .planner import (
 )
 
 __all__ = [
-    "CACHE_ENV",
-    "CACHE_SCHEMA",
-    "DEFAULT_PROFILE",
-    "ENGINE_NAMES",
     "ExecutionPlan",
     "ExecutionPlanner",
-    "HostProfile",
     "StaticPlanner",
-    "calibrate_host",
-    "default_cache_path",
     "get_default_planner",
-    "host_fingerprint",
-    "load_or_calibrate",
-    "load_profile",
-    "predict_ms",
     "resolve_planner",
-    "save_profile",
     "set_default_planner",
     "shape_class_key",
 ]

@@ -124,11 +124,11 @@ class ResilientSorter:
         a fallback link.  Sharding is deterministic, so retries and
         verification behave identically to serial execution.
     planner:
-        Adaptive per-batch engine choice for the ``"vectorized"`` link
-        (see :class:`~repro.planner.ExecutionPlanner`); mutually
-        exclusive with ``parallel``.  The planner-backed sorter is
-        cached across attempts and calls, so its scratch arena and
-        learned timings persist for the session.
+        Per-batch engine choice for the ``"vectorized"`` link (see
+        :class:`~repro.planner.ExecutionPlanner`); mutually exclusive
+        with ``parallel``.  The planner-backed sorter is cached across
+        attempts and calls, so its scratch arena persists for the
+        session.
     """
 
     def __init__(

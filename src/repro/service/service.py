@@ -100,15 +100,15 @@ class TenantQuota:
 def derive_batch_target(planner) -> int:
     """Batch size target from the planner's preferred shape class.
 
-    The planner's fan-out guard (``min_rows_per_worker``, default
+    A planner's fan-out guard (``min_rows_per_worker``; planners without
+    one, ``planner="auto"`` included, get
     :data:`~repro.parallel.plan.DEFAULT_MIN_ROWS_PER_WORKER`) is the
-    batch scale at which its sharded engines become eligible at all —
-    below it every plan collapses to serial — so it is the natural "big
-    enough to be worth a launch" target.  The result is clamped to a
-    serviceable range and rounded down to a power of two, so consecutive
-    full batches land in the *same* quantized planner shape class
-    (``shape_class_key`` rounds ``log2 N``) and the planner's learned
-    timings actually accumulate.
+    batch scale at which sharded engines split a batch at all, so it is
+    the natural "big enough to be worth a launch" target.  The result is
+    clamped to a serviceable range and rounded down to a power of two,
+    so consecutive full batches land in the *same* quantized planner
+    shape class (``shape_class_key`` rounds ``log2 N``) and its timings
+    accumulate in one entry.
     """
     preferred = getattr(planner, "min_rows_per_worker", None)
     if not isinstance(preferred, int) or preferred < 1:
@@ -440,9 +440,7 @@ class SortService:
 
         ``drain=True`` (default) sorts and delivers everything already
         queued first; ``drain=False`` fails queued requests with
-        :class:`ServiceClosedError`.  The first close then saves the
-        backend planner's learned timings, so the next service starts
-        warm.  Idempotent.
+        :class:`ServiceClosedError`.  Idempotent.
         """
         with self._wakeup:
             first_close = not self._closed
@@ -459,11 +457,6 @@ class SortService:
                     ServiceClosedError("service closed before dispatch")
                 )
         self._worker.join(timeout)
-        if first_close:
-            planner = getattr(self._sorter, "planner", None)
-            save = getattr(planner, "save", None)
-            if callable(save):
-                save()
 
     @property
     def closed(self) -> bool:

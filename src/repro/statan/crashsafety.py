@@ -1,4 +1,4 @@
-"""Crash-safety lint for durable-write paths (spill and calibration).
+"""Crash-safety lint for durable-write paths (spill store and planner).
 
 The out-of-core tier's whole resumability story rests on one shape:
 **tmp-write → fsync → rename**.  A chunk or manifest written with a
@@ -8,8 +8,9 @@ the manifest then points at garbage and the "resume from checkpoint"
 promise is broken.
 
 This pass checks every function in the durable-write scope
-(``repro/outofcore/`` and ``repro/planner/`` — the spill store and the
-calibration profile cache) for that shape:
+(``repro/outofcore/`` and ``repro/planner/`` — the spill store, and the
+planner package, so any file it ever writes must be durable) for that
+shape:
 
 * a write-mode ``open()`` / ``os.fdopen()`` in a function with **no**
   ``os.replace`` / ``os.rename`` is a bare durable write (the data is
@@ -38,8 +39,8 @@ from .findings import Finding
 
 __all__ = ["check_crash_safety"]
 
-#: Files whose writes must be durable: the spill store and the
-#: calibration profile cache (both are consulted on resume).
+#: Files whose writes must be durable: the spill store (consulted on
+#: resume) and the planner package.
 _SCOPE_RE = re.compile(r"(^|/)repro/(outofcore|planner)/")
 
 _WRITE_MODE_RE = re.compile(r"[wax+]")

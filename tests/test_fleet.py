@@ -225,3 +225,17 @@ class TestStats:
 class TestDefaults:
     def test_default_worker_count(self):
         assert DEFAULT_WORKERS == 2
+
+    def test_auto_planner_writes_no_file(self, tmp_path, monkeypatch):
+        from repro.planner.calibrate import CACHE_ENV
+
+        path = tmp_path / "planner.json"
+        monkeypatch.setenv(CACHE_ENV, str(path))
+        fl = small_fleet(workers=1, planner="auto")
+        try:
+            batch = RNG.uniform(0, 1, size=(8, 32))
+            result = fl.submit(batch).result(timeout=30)
+            np.testing.assert_array_equal(result, np.sort(batch, axis=1))
+        finally:
+            fl.close(timeout=10.0)
+        assert not path.exists()

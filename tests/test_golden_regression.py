@@ -3,7 +3,7 @@
 SHA-256 digests of deterministic end-to-end outputs, pinned at release
 1.0.0.  A digest change means the *bytes* of a result changed — either a
 deliberate semantic change (update the constants, document it in
-CHANGELOG.md) or an accidental one (a bug these tests exist to catch,
+CHANGES.md) or an accidental one (a bug these tests exist to catch,
 e.g. a stability regression that no order-only assertion would see
 because `np.sort` oracles change in lockstep).
 

@@ -178,6 +178,14 @@ class TestDeriveBatchTarget:
         target = derive_batch_target(None)
         assert target >= 256 and (target & (target - 1)) == 0
 
+    def test_auto_planner_target_is_pinned(self):
+        # The auto planner has no fan-out knob, so the service batches at
+        # the default fan-out guard; a change here moves every
+        # planner="auto" service's batch size.
+        from repro.planner import resolve_planner
+
+        assert derive_batch_target(resolve_planner("auto")) == 4096
+
 
 class TestStats:
     def test_occupancy_bucket_powers_of_two(self):
@@ -455,26 +463,24 @@ class TestSortService:
         with SortService(planner="fused", batch_target_rows=4) as service:
             assert service.sorter.planner is not None
 
-    def test_close_saves_the_planner_for_a_warm_start(self, rng, tmp_path):
-        from repro.planner import ExecutionPlanner, HostProfile
+    def test_auto_planner_writes_no_file(self, rng, tmp_path, monkeypatch):
+        from repro.planner import set_default_planner
+        from repro.planner.calibrate import CACHE_ENV
 
         path = tmp_path / "planner.json"
-        stub = HostProfile(cpu_count=2, calibrated=True)
-        planner = ExecutionPlanner(stub, cache_path=path)
-        service = SortService(planner=planner, batch_target_rows=4,
-                              linger_ms=1.0)
-        for _ in range(3):
-            service.submit(rng.random((4, 64)).astype(np.float32)).result(
-                timeout=30
-            )
-        assert not path.exists()  # observe() never writes the cache
-        service.close()
-        learned = planner.observations()
-        assert learned
-
-        warm = ExecutionPlanner(cache_path=path)
-        assert warm.profile == stub  # loaded from the cache, not calibrated
-        assert warm.observations() == learned
+        monkeypatch.setenv(CACHE_ENV, str(path))
+        set_default_planner(None)
+        try:
+            service = SortService(planner="auto", batch_target_rows=4,
+                                  linger_ms=1.0)
+            for _ in range(3):
+                batch = rng.random((4, 64)).astype(np.float32)
+                result = service.submit(batch).result(timeout=30)
+                assert result.tobytes() == np.sort(batch, axis=1).tobytes()
+            service.close()
+        finally:
+            set_default_planner(None)
+        assert not path.exists()
 
     def test_priority_orders_equal_deadlines(self):
         batcher = DynamicBatcher(target_rows=2, max_batch_rows=2,

@@ -18,7 +18,7 @@ from repro.statan import analyze_source, analyze_paths, load_baseline
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 DURABLE = "src/repro/outofcore/mod.py"  # inside the durable-write scope
-PLANNER = "src/repro/planner/mod.py"  # also in scope (calibration cache)
+PLANNER = "src/repro/planner/mod.py"  # also in scope (planner package)
 ELSEWHERE = "src/repro/core/mod.py"  # outside it
 
 
