@@ -11,10 +11,11 @@ relatives partition arrays across devices.
 Request path::
 
     submit ──> FleetRouter (lane affinity + least-outstanding-rows)
-           ──> two-region shm slab [input | output], input staged once
+           ──> pooled two-region shm slab [input | output], input staged once
            ──> worker process: local SortService batches, sorts, writes
                the output half, answers on the shared response queue
-           ──> collector thread: copy-out, resolve the caller's Future
+           ──> collector thread: copy-out, slab back to its pool, resolve
+               the caller's Future
 
 Design points, each load-bearing:
 
@@ -28,13 +29,24 @@ Design points, each load-bearing:
   ``retry_after`` is the **most-loaded** worker's drain estimate,
   stretched by the router's seeded jitter — deterministic under test,
   dispersed in production.
-* **Two-region slabs + failover.**  The worker never writes the input
-  half of a request's shm slab, so the parent always holds a pristine
-  copy of every in-flight request.  A worker that dies (process exit
-  *or* heartbeat silence past the liveness deadline) is drained: its
-  pending requests are re-dispatched to survivors — never dropped — and
+* **Pooled two-region slabs.**  Each worker has its own pool of
+  ``[input | output]`` shared-memory slabs, keyed by power-of-two byte
+  class.  A request takes a free slab of its class from its worker's
+  pool (creating one only when the pool is empty) and gives it back
+  after copy-out, so a pool grows to the worker's in-flight high-water
+  mark — which the router's ``max_worker_queue_rows`` already bounds —
+  and the worker maps each slab once, not once per request.
+* **Failover from the pristine input half.**  The worker never writes
+  the input half of a slab, so the parent always holds a pristine copy
+  of every in-flight request.  A worker that dies (process exit *or*
+  heartbeat silence past the liveness deadline) is drained: its pending
+  requests are re-staged into slabs of survivors — never dropped — and
   if **no** worker survives, the parent itself sorts them through the
-  resilience layer (:class:`~repro.resilience.ResilientSorter`).
+  resilience layer (:class:`~repro.resilience.ResilientSorter`).  A
+  dead worker's slabs are **retired** — unlinked, never reused — so a
+  killed-but-not-yet-reaped process cannot write into a later
+  request's output half.  ``close()`` unlinks every slab only after the
+  workers are joined.
 * **Per-worker planners.**  Each worker resolves its own ``planner``
   spec.  ``"auto"`` is a dtype rule (:class:`~repro.planner.ExecutionPlanner`)
   that reads no file, so workers share nothing and plan from their first
@@ -47,6 +59,7 @@ reads the real monotonic clock.
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import queue as queue_mod
 import threading
@@ -88,6 +101,25 @@ DEFAULT_MAX_WORKER_QUEUE_ROWS = 8192
 MAX_REDISPATCHES = 16
 
 
+#: One worker's free slabs, keyed by byte class.
+_SlabPool = Dict[int, List[shared_memory.SharedMemory]]
+
+
+def _slab_class(nbytes: int) -> int:
+    """Byte size of the pooled slab that holds ``nbytes``: the next power
+    of two, at least one page (so the segment size is exactly the class
+    on every platform and ``SharedMemory.size`` is a valid pool key)."""
+    return max(mmap.PAGESIZE, 1 << (int(nbytes) - 1).bit_length())
+
+
+def _unlink_slab(shm: shared_memory.SharedMemory) -> None:
+    shm.close()
+    try:
+        shm.unlink()
+    except FileNotFoundError:  # already reaped
+        pass
+
+
 class _PendingRequest:
     """Parent-side record of one in-flight request (fields guarded by
     the fleet lock until the record is popped from ``_pending``; the
@@ -117,6 +149,11 @@ class _PendingRequest:
         self.submitted_at = submitted_at
         self.redispatches = 0
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of both halves; the slab itself may be a larger class."""
+        return 2 * self.rows * self.row_len * self.dtype.itemsize
+
     def input_view(self) -> np.ndarray:
         return np.ndarray(
             (self.rows, self.row_len), dtype=self.dtype, buffer=self.shm.buf
@@ -128,13 +165,6 @@ class _PendingRequest:
             (self.rows, self.row_len), dtype=self.dtype,
             buffer=self.shm.buf, offset=offset,
         )
-
-    def release_slab(self) -> None:
-        self.shm.close()
-        try:
-            self.shm.unlink()
-        except FileNotFoundError:  # already reaped
-            pass
 
 
 class _WorkerHandle:
@@ -300,6 +330,13 @@ class SortFleet:
         self._failovers = 0  # guarded-by: _wakeup, _lock
         self._redispatched = 0  # guarded-by: _wakeup, _lock
         self._parent_fallbacks = 0  # guarded-by: _wakeup, _lock
+        # Per-worker slab pools: worker id -> byte class -> free slabs.
+        # A worker's entry is dropped when it dies or the fleet closes;
+        # a slab released with no pool to return to is unlinked.
+        self._free_slabs: Dict[int, _SlabPool] = {}  # guarded-by: _wakeup, _lock
+        self._slabs_created = 0  # guarded-by: _wakeup, _lock
+        self._slabs_retired = 0  # guarded-by: _wakeup, _lock
+        self._slab_pool_bytes = 0  # guarded-by: _wakeup, _lock
         self._fallback_sorter = None  # lazy ResilientSorter (collector-only)
 
         for worker_id in range(self.workers_total):
@@ -314,6 +351,7 @@ class SortFleet:
             self._handles[worker_id] = _WorkerHandle(
                 worker_id, process, request_q
             )
+            self._free_slabs[worker_id] = {}
         self._await_ready(start_timeout_s)
         for worker_id in self._handles:
             self._router.add_worker(worker_id)
@@ -391,8 +429,9 @@ class SortFleet:
         :mod:`repro.service.traffic`'s load generators) drives a fleet
         unchanged.  One difference: results are always owned copies
         (``copy`` is accepted for signature parity and ignored), because
-        every request round-trips through a per-request shared-memory
-        slab rather than a shared batch buffer.
+        every request round-trips through a shared-memory slab that goes
+        back to its worker's pool — for the next request — as soon as
+        the result is copied out.
 
         Raises :class:`RejectedError` when no worker can admit the
         request — ``retry_after`` is the most-loaded worker's jittered
@@ -458,9 +497,7 @@ class SortFleet:
             self._seq += 1
             handle = self._handles[worker_id]
             now = time.monotonic()
-            shm = shared_memory.SharedMemory(
-                create=True, size=2 * staged.nbytes
-            )
+            shm = self._take_slab_locked(worker_id, 2 * staged.nbytes)
             record = _PendingRequest(
                 req_id=req_id,
                 future=future,
@@ -488,10 +525,14 @@ class SortFleet:
             # The chosen worker died between routing and dispatch (its
             # queue pipe is gone).  Liveness will reap it; this request
             # fails over right now instead of waiting for that tick.
+            # Unless the collector's failover already claimed it.
             with self._wakeup:
-                self._pending.pop(req_id, None)
-            self._router.record_done(worker_id, rows)
-            self._dispatch_failover([record], from_worker=worker_id)
+                claimed = self._pending.pop(req_id, None) is not None
+            if claimed:
+                self._router.record_done(worker_id, rows)
+                self._dispatch_failover(
+                    [record], from_worker=worker_id, retire=True
+                )
         return future
 
     def flush(self, timeout: Optional[float] = None) -> bool:
@@ -539,7 +580,6 @@ class SortFleet:
                         handle.alive = False
         for record in dropped:
             self._router.record_done(record.worker_id, record.rows)
-            record.release_slab()
             if record.future.set_running_or_notify_cancel():
                 record.future.set_exception(
                     ServiceClosedError("fleet closed before completion")
@@ -557,6 +597,20 @@ class SortFleet:
         self._collector.join(timeout=5.0)
         self._response_q.close()
         self._response_q.join_thread()
+        # Only now, with every worker joined, can no process still be
+        # reading or writing a slab: unlink the pools and the slabs of
+        # requests close() dropped.
+        with self._wakeup:
+            pools = list(self._free_slabs.values())
+            self._free_slabs.clear()
+            doomed = [
+                slab for pool in pools for free in pool.values()
+                for slab in free
+            ]
+            doomed += [record.shm for record in dropped]
+            self._slab_pool_bytes -= sum(slab.size for slab in doomed)
+        for slab in doomed:
+            _unlink_slab(slab)
 
     @property
     def closed(self) -> bool:
@@ -623,6 +677,9 @@ class SortFleet:
                 failovers=self._failovers,
                 redispatched=self._redispatched,
                 parent_fallbacks=self._parent_fallbacks,
+                slabs_created=self._slabs_created,
+                slabs_retired=self._slabs_retired,
+                slab_pool_bytes=self._slab_pool_bytes,
             )
 
     def _merged_planner_counts_locked(self) -> Dict[str, Dict[str, int]]:
@@ -639,6 +696,40 @@ class SortFleet:
                 for engine, n in engines.items():
                     into[str(engine)] = into.get(str(engine), 0) + int(n)
         return merged
+
+    # -- slab pools ----------------------------------------------------------
+    def _take_slab_locked(
+        self, worker_id: int, nbytes: int
+    ) -> shared_memory.SharedMemory:
+        """A free slab of ``nbytes``' class from ``worker_id``'s pool; a
+        new one only when that free list is empty."""
+        size = _slab_class(nbytes)
+        free = self._free_slabs.get(worker_id, {}).get(size)
+        if free:
+            return free.pop()
+        shm = shared_memory.SharedMemory(create=True, size=size)
+        self._slabs_created += 1
+        self._slab_pool_bytes += shm.size
+        return shm
+
+    def _release_slab(
+        self, shm: shared_memory.SharedMemory, worker_id: int, *, retire: bool
+    ) -> None:
+        """Return a slab to ``worker_id``'s pool after copy-out.
+
+        ``retire=True`` (the slab was in flight on a worker declared
+        dead), or a pool that is gone (the worker died, or the fleet
+        closed), unlinks it instead: it is never handed out again.
+        """
+        with self._wakeup:
+            pool = None if retire else self._free_slabs.get(worker_id)
+            if pool is not None:
+                pool.setdefault(shm.size, []).append(shm)
+                return
+            self._slab_pool_bytes -= shm.size
+            if retire:
+                self._slabs_retired += 1
+        _unlink_slab(shm)
 
     def __enter__(self) -> "SortFleet":
         return self
@@ -694,7 +785,7 @@ class SortFleet:
                 handle.completed += 1
         self._router.record_done(worker_id, record.rows)
         payload = np.array(record.output_view(), copy=True)
-        record.release_slab()
+        self._release_slab(record.shm, worker_id, retire=False)
         elapsed = time.monotonic() - record.submitted_at
         self._recorder.record_latency(elapsed, tenant=record.tenant)
         self._recorder.record_throughput(record.rows, elapsed)
@@ -720,7 +811,7 @@ class SortFleet:
             if handle is not None:
                 handle.failed += 1
         self._router.record_done(worker_id, record.rows)
-        record.release_slab()
+        self._release_slab(record.shm, worker_id, retire=False)
         if kind == "deadline" and str(fields.get("stage", "")) == "queued":
             self._recorder.record_shed(1, tenant=record.tenant)
         elif kind == "deadline":
@@ -745,7 +836,7 @@ class SortFleet:
                 return False
             del self._pending[req_id]
         self._router.record_done(worker_id, record.rows)
-        self._dispatch_failover([record], from_worker=worker_id)
+        self._dispatch_failover([record], from_worker=worker_id, retire=False)
         return True
 
     def _note_heartbeat(self, worker_id: int, stats: Dict[str, object]) -> None:
@@ -785,7 +876,8 @@ class SortFleet:
             self._fail_over(handle)
 
     def _fail_over(self, handle: _WorkerHandle) -> None:
-        """Drain a dead worker: re-dispatch its in-flight requests."""
+        """Drain a dead worker: re-dispatch its in-flight requests and
+        retire every slab it had mapped."""
         with self._wakeup:
             if not handle.alive:
                 return
@@ -797,23 +889,38 @@ class SortFleet:
             ]
             for record in victims:
                 del self._pending[record.req_id]
+            pool = self._free_slabs.pop(handle.worker_id, {})
+            idle = [slab for free in pool.values() for slab in free]
+            self._slabs_retired += len(idle)
+            self._slab_pool_bytes -= sum(slab.size for slab in idle)
         self._router.mark_dead(handle.worker_id)
         self._router.forget_outstanding(handle.worker_id)
         # A stalled-but-running process (liveness expiry) is killed so it
         # cannot later double-complete a request a survivor re-sorts.
         if handle.process.is_alive():
             handle.process.kill()
+        for slab in idle:
+            _unlink_slab(slab)
         if victims:
-            self._dispatch_failover(victims, from_worker=handle.worker_id)
+            self._dispatch_failover(
+                victims, from_worker=handle.worker_id, retire=True
+            )
 
     def _dispatch_failover(
-        self, records: List[_PendingRequest], *, from_worker: int
+        self, records: List[_PendingRequest], *, from_worker: int, retire: bool
     ) -> None:
-        """Land orphaned requests on survivors (or sort them here)."""
+        """Land orphaned requests on survivors (or sort them here).
+
+        Each request is re-staged from its pristine input half into a
+        slab from the target's pool, so every slab is only ever mapped
+        by the worker whose pool holds it.  ``retire`` says whether the
+        old slab was in flight on a worker declared dead (unlink it) or
+        on a live one that refused the request (return it to the pool).
+        """
         now = time.monotonic()
         for record in records:
             if record.deadline_abs is not None and now >= record.deadline_abs:
-                record.release_slab()
+                self._release_slab(record.shm, from_worker, retire=retire)
                 self._recorder.record_shed(1, tenant=record.tenant)
                 if record.future.set_running_or_notify_cancel():
                     record.future.set_exception(DeadlineExceededError(
@@ -826,43 +933,51 @@ class SortFleet:
             lane_key = (record.row_len, record.dtype.str)
             target = self._router.route_failover(lane_key, record.rows)
             if target is None:
-                self._parent_sort(record)
+                self._parent_sort(record, from_worker, retire=retire)
                 continue
             remaining = (
                 record.deadline_abs - now
                 if record.deadline_abs is not None
                 else None
             )
+            old_shm = record.shm
             with self._wakeup:
-                handle = self._handles.get(target)
-                if handle is None:
+                handle = self._handles[target]
+                record.shm = self._take_slab_locked(target, record.nbytes)
+                record.input_view()[:] = np.ndarray(
+                    (record.rows, record.row_len), dtype=record.dtype,
+                    buffer=old_shm.buf,
+                )
+                record.worker_id = target
+                record.redispatches += 1
+                self._redispatched += 1
+                self._pending[record.req_id] = record
+                handle.dispatched += 1
+                victim_handle = self._handles.get(from_worker)
+                if victim_handle is not None:
+                    victim_handle.redispatched += 1
+                try:
+                    handle.request_q.put((
+                        "sort", record.req_id, record.shm.name,
+                        record.rows, record.row_len, record.dtype.str,
+                        remaining, record.priority, record.tenant,
+                    ))
+                    put_failed = False
+                except (OSError, ValueError):  # target died under us
+                    del self._pending[record.req_id]
                     put_failed = True
-                else:
-                    record.worker_id = target
-                    record.redispatches += 1
-                    self._redispatched += 1
-                    self._pending[record.req_id] = record
-                    handle.dispatched += 1
-                    victim_handle = self._handles.get(from_worker)
-                    if victim_handle is not None:
-                        victim_handle.redispatched += 1
-                    try:
-                        handle.request_q.put((
-                            "sort", record.req_id, record.shm.name,
-                            record.rows, record.row_len, record.dtype.str,
-                            remaining, record.priority, record.tenant,
-                        ))
-                        put_failed = False
-                    except (OSError, ValueError):  # target died under us
-                        del self._pending[record.req_id]
-                        put_failed = True
+            self._release_slab(old_shm, from_worker, retire=retire)
             if put_failed:
                 self._router.record_done(target, record.rows)
-                self._parent_sort(record)
+                self._parent_sort(record, target, retire=True)
 
-    def _parent_sort(self, record: _PendingRequest) -> None:
+    def _parent_sort(
+        self, record: _PendingRequest, worker_id: int, *, retire: bool
+    ) -> None:
         """Last resort — no surviving worker: sort in the parent through
-        the resilience layer so accepted work is still never dropped."""
+        the resilience layer so accepted work is still never dropped.
+        ``record.shm`` is copied out and released to ``worker_id``'s
+        pool (or retired) before the sort."""
         with self._lock:
             self._parent_fallbacks += 1
         if self._fallback_sorter is None:
@@ -870,7 +985,7 @@ class SortFleet:
 
             self._fallback_sorter = ResilientSorter(self.config, sleep=None)
         batch = np.array(record.input_view(), copy=True)
-        record.release_slab()
+        self._release_slab(record.shm, worker_id, retire=retire)
         try:
             result = self._fallback_sorter.sort(batch)
             payload = np.array(result.batch, copy=True)

@@ -8,7 +8,9 @@ The fleet's scrape surface follows the service's
 
   - ``fleet`` — the aggregate caller-facing counters (admission,
     completion, failover tallies, in-flight depth, latency
-    percentiles, per-tenant slices) from the fleet's own recorder;
+    percentiles, per-tenant slices) from the fleet's own recorder,
+    plus the shared-memory slab pools' created/retired counts and
+    held bytes;
   - ``workers`` — one block per worker process: liveness, outstanding
     work, dispatch/failover counters, and the worker's *own*
     ``ServiceStats`` snapshot from its last heartbeat (so operators can
@@ -97,6 +99,9 @@ def collect_fleet_metrics(fleet) -> Dict[str, object]:
             "failovers": stats.failovers,
             "redispatched": stats.redispatched,
             "parent_fallbacks": stats.parent_fallbacks,
+            "slabs_created": stats.slabs_created,
+            "slabs_retired": stats.slabs_retired,
+            "slab_pool_bytes": stats.slab_pool_bytes,
             "inflight_requests": frontend.queue_depth_requests,
             "inflight_rows": frontend.queue_depth_rows,
         },
@@ -123,7 +128,9 @@ def render_fleet_prometheus(
 
     Families: ``repro_fleet_<counter>_total`` (aggregate front-end),
     ``repro_fleet_workers_alive``/``_total`` and ``repro_fleet_inflight_*``
-    gauges, ``repro_fleet_latency_ms{quantile=}``, per-tenant
+    gauges, the slab pools' ``repro_fleet_slab_created_total``,
+    ``repro_fleet_slab_retired_total`` and ``repro_fleet_slab_pool_bytes``,
+    ``repro_fleet_latency_ms{quantile=}``, per-tenant
     ``repro_fleet_tenant_*_total{tenant=}``, per-worker
     ``repro_fleet_worker_*{worker="N"}`` (including the worker's own
     service counters as ``repro_fleet_worker_service_*``), and the
@@ -143,6 +150,13 @@ def render_fleet_prometheus(
         ):
             if name in fleet:
                 lines.append(f"{prefix}_{name} {fleet[name]}")
+        for name, family in (
+            ("slabs_created", "slab_created_total"),
+            ("slabs_retired", "slab_retired_total"),
+            ("slab_pool_bytes", "slab_pool_bytes"),
+        ):
+            if name in fleet:
+                lines.append(f"{prefix}_{family} {fleet[name]}")
     latency = metrics.get("latency_ms", {})
     if isinstance(latency, dict):
         for quantile in sorted(latency):

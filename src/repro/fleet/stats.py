@@ -78,6 +78,14 @@ class FleetStats:
     #: Requests sorted in the parent itself because no worker survived
     #: (the resilience backstop).
     parent_fallbacks: int
+    #: Shared-memory slabs created for the worker pools (a reused slab
+    #: is not counted again).
+    slabs_created: int
+    #: Slabs unlinked because their worker was declared dead, never
+    #: handed out again.
+    slabs_retired: int
+    #: Bytes of every slab the fleet currently holds, free or in flight.
+    slab_pool_bytes: int
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -91,4 +99,7 @@ class FleetStats:
             "failovers": self.failovers,
             "redispatched": self.redispatched,
             "parent_fallbacks": self.parent_fallbacks,
+            "slabs_created": self.slabs_created,
+            "slabs_retired": self.slabs_retired,
+            "slab_pool_bytes": self.slab_pool_bytes,
         }

@@ -6,16 +6,20 @@ Each worker the :class:`~repro.fleet.SortFleet` forks runs
 whole reason the fleet exists), then loops on a request queue of
 shared-memory descriptors.
 
-**Zero-copy handoff, two-region slabs.**  The parent stages each
-request into one ``multiprocessing.shared_memory`` segment laid out as
-``[input | output]`` — two equal halves.  The worker attaches the
-segment with the same :func:`repro.parallel.attach_shm_view` primitive
-the process-pool shard workers use, submits the *input* view to its
-local service, and writes the sorted result only into the *output*
-half.  The input half is never mutated by the worker, which is the
-failover invariant: if this process dies mid-sort — even mid-memcpy of
-a result — the parent still holds a pristine copy of the request and
-can re-dispatch it to a surviving worker with no risk of re-sorting a
+**Zero-copy handoff, pooled two-region slabs.**  The parent stages
+each request into a ``multiprocessing.shared_memory`` slab from this
+worker's pool, laid out as ``[input | output]`` — two equal halves at
+the front of a segment whose power-of-two class may be larger than the
+request.  The worker maps each slab the first time its name arrives and
+keeps the mapping for its whole life (the pool reuses slabs, so later
+requests cost no attach).  It submits the *input* view to its local
+service with ``copy=False`` and, in the done callback — which runs on
+the service's dispatch thread, before the next dispatch reuses the
+batch — writes the sorted rows straight into the *output* half.  The
+input half is never mutated by the worker, which is the failover
+invariant: if this process dies mid-sort — even mid-memcpy of a result
+— the parent still holds a pristine copy of the request and can
+re-dispatch it to a surviving worker with no risk of re-sorting a
 half-written buffer.
 
 **Typed errors cross the boundary as data.**  A worker cannot pickle a
@@ -36,13 +40,14 @@ metrics.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import threading
+from multiprocessing import shared_memory
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..core.config import DEFAULT_CONFIG, SortConfig
-from ..parallel import attach_shm_view
 from ..service.errors import (
     DeadlineExceededError,
     QuarantinedError,
@@ -176,8 +181,8 @@ def worker_main(worker_id: int, request_q, response_q, cfg: WorkerConfig) -> Non
     Request messages (from the parent):
 
     ``("sort", req_id, shm_name, rows, row_len, dtype_str, deadline_s,
-    priority, tenant)`` — attach the two-region segment, submit the
-    input half to the local service, write the sorted rows into the
+    priority, tenant)`` — map the two-region slab (once per name), submit
+    the input half to the local service, write the sorted rows into the
     output half, answer ``("done", req_id, worker_id)`` or ``("error",
     req_id, worker_id, kind, message, fields)``.
 
@@ -206,11 +211,22 @@ def worker_main(worker_id: int, request_q, response_q, cfg: WorkerConfig) -> Non
     heartbeat.start()
     response_q.put(("ready", worker_id))
 
+    # Slab name -> mapped segment, for the worker's whole life: the
+    # parent reuses pooled slabs, and unlinks one only after this
+    # process is dead or joined.
+    slabs: Dict[str, shared_memory.SharedMemory] = {}
+    serving_thread = threading.get_ident()
+
     def _serve_one(msg) -> None:
         (_, req_id, shm_name, rows, row_len, dtype_str, deadline_s,
          priority, tenant) = msg
-        shm, full = attach_shm_view(
-            shm_name, (2 * rows, row_len), dtype_str, 0
+        shm = slabs.get(shm_name)
+        if shm is None:
+            shm = slabs[shm_name] = shared_memory.SharedMemory(name=shm_name)
+        # The slab's class may be larger than the request: the shape
+        # comes from the message, never from the segment size.
+        full = np.ndarray(
+            (2 * rows, row_len), dtype=np.dtype(dtype_str), buffer=shm.buf
         )
         work = full[:rows]
         out = full[rows:]
@@ -221,38 +237,44 @@ def worker_main(worker_id: int, request_q, response_q, cfg: WorkerConfig) -> Non
                 work, f"fleet-input-slab:req{req_id}"
             )
 
-        def _deliver(future) -> None:
-            try:
-                try:
-                    payload = future.result()
-                except Exception as exc:  # typed service errors -> data
-                    kind, message, fields = describe_error(exc)
-                    response_q.put(
-                        ("error", req_id, worker_id, kind, message, fields)
-                    )
-                else:
-                    out[:] = payload
-                    response_q.put(("done", req_id, worker_id))
-            finally:
-                shm.close()
-
-        try:
-            # copy=True: the service's demux copy-out is what we memcpy
-            # into the output half; the input half stays untouched, which
-            # is the fleet's failover invariant (see module docstring).
-            future = service.submit(
-                work,
-                deadline=deadline_s,
-                priority=priority,
-                copy=True,
-                tenant=tenant,
-            )
-        except Exception as exc:
+        def _report(exc: BaseException) -> None:
             kind, message, fields = describe_error(exc)
             response_q.put(("error", req_id, worker_id, kind, message, fields))
-            shm.close()
-            return
-        future.add_done_callback(_deliver)
+
+        def _deliver(future, *, copied: bool) -> None:
+            try:
+                payload = future.result()
+                if not copied and threading.get_ident() == serving_thread:
+                    # The batch resolved before the callback was
+                    # registered, so this runs here, not on the dispatch
+                    # thread, and the zero-copy view may already belong
+                    # to the next batch.  Sort again into an owned copy
+                    # (rare).
+                    _submit(copy=True)
+                    return
+                # np.copyto, not out[:] =, so the sanitizer checks the
+                # view's epoch on the read.
+                np.copyto(out, payload)
+            except Exception as exc:  # typed service errors -> data
+                _report(exc)
+                return
+            response_q.put(("done", req_id, worker_id))
+
+        def _submit(*, copy: bool) -> None:
+            try:
+                future = service.submit(
+                    work,
+                    deadline=deadline_s,
+                    priority=priority,
+                    copy=copy,
+                    tenant=tenant,
+                )
+            except Exception as exc:
+                _report(exc)
+                return
+            future.add_done_callback(functools.partial(_deliver, copied=copy))
+
+        _submit(copy=False)
 
     try:
         while True:

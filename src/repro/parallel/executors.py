@@ -73,10 +73,9 @@ def attach_shm_view(
 
     Returns ``(shm, view)``; the caller owns ``shm.close()`` (and must
     keep ``shm`` alive for as long as the view is used — the view
-    borrows the segment's buffer).  This is the one cross-process
-    handoff primitive shared by the process-pool shard workers and the
-    fleet's worker processes: name + shape + dtype + byte offset fully
-    describe a zero-copy window into another process's slab.
+    borrows the segment's buffer).  The process-pool shard workers'
+    handoff primitive: name + shape + dtype + byte offset fully describe
+    a zero-copy window into the parent's slab.
     """
     from multiprocessing import shared_memory
 

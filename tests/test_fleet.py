@@ -222,6 +222,79 @@ class TestStats:
             assert state.heartbeat_age_s is not None
 
 
+class TestSlabPool:
+    def test_sequential_requests_reuse_slabs(self):
+        with small_fleet(workers=2) as fl:
+            for _ in range(200):
+                batch = RNG.uniform(0, 1, size=(4, 1000))
+                result = fl.submit(batch).result(timeout=30)
+                np.testing.assert_array_equal(result, np.sort(batch, axis=1))
+            stats = fl.stats()
+            # One request in flight at a time: at most one slab per
+            # worker, each of the (4, 1000) float64 request's 64 KiB class.
+            assert 1 <= stats.slabs_created <= 2
+            assert stats.slabs_retired == 0
+            assert stats.slab_pool_bytes == stats.slabs_created * (1 << 16)
+            assert stats.as_dict()["slabs_created"] == stats.slabs_created
+        assert fl.stats().slab_pool_bytes == 0
+
+
+class TestWorkerCopyOut:
+    def test_result_resolved_before_callback_is_sorted_again(
+        self, monkeypatch
+    ):
+        """A request whose batch resolves before the worker registers its
+        done callback must not be copied from the zero-copy view: the
+        next batch may already have overwritten it."""
+        import queue
+        from multiprocessing import shared_memory
+
+        import repro.service
+        from repro.fleet.worker import WorkerConfig, worker_main
+
+        decoy = RNG.uniform(0, 1, size=(4, 64))
+
+        class EagerService(repro.service.SortService):
+            def submit(self, arrays, **kwargs):
+                future = super().submit(arrays, **kwargs)
+                self.flush()
+                # The next batch reuses the sorter's arena under the
+                # first request's zero-copy view.
+                super().submit(decoy, **kwargs)
+                self.flush()
+                return future
+
+        monkeypatch.setattr(repro.service, "SortService", EagerService)
+        batch = RNG.uniform(0, 1, size=(4, 64))
+        shm = shared_memory.SharedMemory(create=True, size=2 * batch.nbytes)
+        try:
+            np.ndarray(batch.shape, batch.dtype, buffer=shm.buf)[:] = batch
+            requests, responses = queue.Queue(), queue.Queue()
+            requests.put(("sort", 7, shm.name, 4, 64, batch.dtype.str,
+                          None, 0, "default"))
+            requests.put(("stop",))
+            worker = threading.Thread(
+                target=worker_main, args=(0, requests, responses,
+                                          WorkerConfig(linger_ms=0.0)),
+            )
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+            replies = []
+            while not responses.empty():
+                msg = responses.get_nowait()
+                if msg[0] in ("done", "error"):
+                    replies.append(msg)
+            assert replies == [("done", 7, 0)]
+            out = np.ndarray(batch.shape, batch.dtype, buffer=shm.buf,
+                             offset=batch.nbytes)
+            np.testing.assert_array_equal(out, np.sort(batch, axis=1))
+            del out
+        finally:
+            shm.close()
+            shm.unlink()
+
+
 class TestDefaults:
     def test_default_worker_count(self):
         assert DEFAULT_WORKERS == 2

@@ -2,6 +2,7 @@
 and aggregate views, hostile-label safety."""
 
 import json
+import mmap
 
 import numpy as np
 import pytest
@@ -50,6 +51,13 @@ class TestCollect:
         assert fleet_block["workers_alive"] == 2
         assert fleet_block["failovers"] == 0
         assert fleet_block["inflight_requests"] == 0
+        # Five sequential (3, 16) float32 requests: pooled slabs of the
+        # smallest (one-page) class are reused, and none was retired.
+        assert 1 <= fleet_block["slabs_created"] <= 2
+        assert fleet_block["slabs_retired"] == 0
+        assert fleet_block["slab_pool_bytes"] == (
+            fleet_block["slabs_created"] * mmap.PAGESIZE
+        )
 
     def test_per_worker_view(self, served_fleet):
         workers = collect_fleet_metrics(served_fleet)["workers"]
@@ -89,6 +97,9 @@ class TestRender:
         assert "repro_fleet_completed_total 5" in text
         assert "repro_fleet_workers_alive 2" in text
         assert "repro_fleet_failovers_total 0" in text
+        assert "repro_fleet_slab_created_total " in text
+        assert "repro_fleet_slab_retired_total 0" in text
+        assert "repro_fleet_slab_pool_bytes " in text
         assert 'repro_fleet_worker_alive{worker="0"} 1' in text
         assert 'repro_fleet_worker_alive{worker="1"} 1' in text
         assert "repro_fleet_aggregate_completed_total" in text
