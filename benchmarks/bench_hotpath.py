@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Hot-path perf harness: fused vs unfused, serial vs sharded vs planned.
+"""Hot-path perf harness: fused vs unfused vs radix vs planned.
 
 Standalone (no pytest-benchmark): measures the vectorized engine's code
 paths over a dtype × (N, n) grid and emits ``BENCH_hotpath.json``
@@ -9,7 +9,6 @@ Engines measured per cell
 -------------------------
 ``fused``    serial vectorized, phases 2+3 fused (the default);
 ``unfused``  serial vectorized, paper-faithful separate phases;
-``sharded``  ThreadPoolEngine row shards;
 ``radix``    the flat non-comparison row sort (``planner="radix"``,
              :mod:`repro.core.radix`) — no phase-1 sampling, no bucket
              metadata;
@@ -115,7 +114,7 @@ GRIDS = {
 #: radix gate applies only here; elsewhere radix is merely measured.
 RADIX_EXPECTED = frozenset({"radix-f32-large", "radix-i32-large"})
 
-STATIC_ENGINES = ("fused", "unfused", "sharded", "radix")
+STATIC_ENGINES = ("fused", "unfused", "radix")
 
 
 def _make_batch(dtype: str, num_arrays: int, array_size: int) -> np.ndarray:
@@ -157,7 +156,7 @@ def _measure_round_robin(sorters: dict, batch: np.ndarray, repeats: int):
     return out
 
 
-def run_grid(grid: str, repeats: int, workers: int,
+def run_grid(grid: str, repeats: int,
              planner_warmup: int = DEFAULT_PLANNER_WARMUP) -> dict:
     cells = GRIDS[grid]
     results = []
@@ -170,7 +169,6 @@ def run_grid(grid: str, repeats: int, workers: int,
         sorters = {
             "fused": GpuArraySort(SortConfig(fuse_phases=True)),
             "unfused": GpuArraySort(SortConfig(fuse_phases=False)),
-            "sharded": GpuArraySort(parallel="thread", workers=workers),
             "radix": GpuArraySort(planner="radix"),
             "planner": GpuArraySort(planner=planner),
         }
@@ -181,11 +179,10 @@ def run_grid(grid: str, repeats: int, workers: int,
         measured = _measure_round_robin(sorters, batch, repeats)
         fused_ms, fused_phases, _ = measured["fused"]
         unfused_ms, unfused_phases, _ = measured["unfused"]
-        sharded_ms, _, _ = measured["sharded"]
         radix_ms, radix_phases, _ = measured["radix"]
         planner_ms, planner_phases, planner_result = measured["planner"]
         plan = getattr(planner_result, "execution_plan", None)
-        best_static_ms = min(fused_ms, unfused_ms, sharded_ms, radix_ms)
+        best_static_ms = min(fused_ms, unfused_ms, radix_ms)
         results.append(
             {
                 "name": name,
@@ -195,7 +192,6 @@ def run_grid(grid: str, repeats: int, workers: int,
                 "repeats": repeats,
                 "fused_ms": fused_ms,
                 "unfused_ms": unfused_ms,
-                "sharded_ms": sharded_ms,
                 "radix_ms": radix_ms,
                 "planner_ms": planner_ms,
                 "fused_phase_ms": fused_phases,
@@ -206,7 +202,6 @@ def run_grid(grid: str, repeats: int, workers: int,
                 "planner_plan_source": plan.source if plan is not None else "",
                 "radix_expected": name in RADIX_EXPECTED,
                 "speedup_fused_vs_unfused": unfused_ms / fused_ms,
-                "speedup_sharded_vs_serial": fused_ms / sharded_ms,
                 "speedup_radix_vs_fused": fused_ms / radix_ms,
                 "planner_vs_best_static": planner_ms / best_static_ms,
             }
@@ -227,7 +222,6 @@ def run_grid(grid: str, repeats: int, workers: int,
     return {
         "schema": SCHEMA,
         "grid": grid,
-        "workers": workers,
         "planner_warmup": planner_warmup,
         "host": {
             "platform": platform.platform(),
@@ -239,9 +233,6 @@ def run_grid(grid: str, repeats: int, workers: int,
         "speedups": {
             "fused_vs_unfused_min": min(speedups),
             "fused_vs_unfused_median": statistics.median(speedups),
-            "sharded_vs_serial_median": statistics.median(
-                r["speedup_sharded_vs_serial"] for r in results
-            ),
             "planner_vs_best_static_max": max(
                 r["planner_vs_best_static"] for r in results
             ),
@@ -276,7 +267,6 @@ def check_schema(report: dict) -> list:
         "repeats": int,
         "fused_ms": (int, float),
         "unfused_ms": (int, float),
-        "sharded_ms": (int, float),
         "radix_ms": (int, float),
         "planner_ms": (int, float),
         "fused_phase_ms": dict,
@@ -286,7 +276,6 @@ def check_schema(report: dict) -> list:
         "planner_engine": str,
         "radix_expected": bool,
         "speedup_fused_vs_unfused": (int, float),
-        "speedup_sharded_vs_serial": (int, float),
         "speedup_radix_vs_fused": (int, float),
         "planner_vs_best_static": (int, float),
     }
@@ -294,8 +283,7 @@ def check_schema(report: dict) -> list:
         for key, typ in required.items():
             if not isinstance(cell.get(key), typ):
                 errors.append(f"results[{i}].{key} missing or not {typ}")
-        for key in ("fused_ms", "unfused_ms", "sharded_ms", "radix_ms",
-                    "planner_ms"):
+        for key in ("fused_ms", "unfused_ms", "radix_ms", "planner_ms"):
             value = cell.get(key)
             if isinstance(value, (int, float)) and value <= 0:
                 errors.append(f"results[{i}].{key} must be > 0")
@@ -306,7 +294,6 @@ def check_schema(report: dict) -> list:
         for key in (
             "fused_vs_unfused_min",
             "fused_vs_unfused_median",
-            "sharded_vs_serial_median",
             "planner_vs_best_static_max",
             "radix_vs_fused_median",
         ):
@@ -422,10 +409,6 @@ def main(argv=None) -> int:
     parser.add_argument("--grid", choices=sorted(GRIDS), default="reference")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
-        "--workers", type=int, default=0,
-        help="thread workers for the sharded column (0 = cpu count)",
-    )
-    parser.add_argument(
         "--planner-warmup", type=int, default=DEFAULT_PLANNER_WARMUP,
         help="untimed planner repeats per cell before measurement",
     )
@@ -492,11 +475,9 @@ def main(argv=None) -> int:
               f"(min_speedup={gate['min_speedup']})")
         return 0 if passed else 1
 
-    workers = args.workers or (os.cpu_count() or 1)
     print(f"bench_hotpath grid={args.grid} repeats={args.repeats} "
-          f"workers={workers} planner_warmup={args.planner_warmup}",
-          flush=True)
-    report = run_grid(args.grid, max(1, args.repeats), workers,
+          f"planner_warmup={args.planner_warmup}", flush=True)
+    report = run_grid(args.grid, max(1, args.repeats),
                       planner_warmup=args.planner_warmup)
     ok = apply_gate(report, args.min_speedup) if args.gate else True
     if args.gate_planner:

@@ -286,7 +286,7 @@ def main(argv=None) -> int:
                         metavar="R:W,...")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--planner", choices=["auto", "fused", "sharded"], default=None,
+        "--planner", choices=["auto", "fused", "radix"], default=None,
         help="execution planner handed to the service's backing sorter",
     )
     parser.add_argument("--out", type=Path, default=None)

@@ -24,7 +24,7 @@ import numpy as np
 __all__ = ["main", "build_parser"]
 
 #: ``--planner`` values shared by every subcommand that takes one.
-PLANNER_CHOICES = ("auto", "fused", "sharded", "radix")
+PLANNER_CHOICES = ("auto", "fused", "radix")
 
 
 def _add_planner_arg(parser: argparse.ArgumentParser, default, help_text: str) -> None:
@@ -62,23 +62,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sort.add_argument("--sampling-rate", type=float, default=0.10)
     p_sort.add_argument("--verify", action="store_true")
     p_sort.add_argument(
-        "--workers", type=int, default=0, metavar="K",
-        help="sharded execution with K workers (0 = serial, the default)",
-    )
-    p_sort.add_argument(
-        "--parallel", choices=["thread", "process"], default="thread",
-        help="executor used when --workers > 0 (vectorized engine only)",
-    )
-    p_sort.add_argument(
         "--no-fuse", action="store_true",
         help="run the paper-faithful separate phase 2/3 passes instead of "
              "the fused single-pass engine",
     )
     _add_planner_arg(
         p_sort, None,
-        "per-batch engine planning (vectorized engine only; mutually "
-        "exclusive with --workers): 'auto' picks the radix row sort for "
-        "every supported dtype, 'fused'/'sharded'/'radix' force one engine",
+        "per-batch engine planning (vectorized engine only): 'auto' picks "
+        "the radix row sort for every dtype, 'fused'/'radix' force one "
+        "engine",
     )
 
     p_fig = sub.add_parser("figures", help="print model-reproduced figure series")
@@ -191,11 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--max-retries", type=int, default=3)
     p_res.add_argument("--real-backoff", action="store_true",
                        help="actually sleep the backoff (default: record only)")
-    p_res.add_argument(
-        "--workers", type=int, default=0, metavar="K",
-        help="sharded vectorized execution with K thread workers "
-             "(0 = serial)",
-    )
 
     p_mc = sub.add_parser(
         "memcheck",
@@ -363,30 +350,11 @@ def _cmd_sort(args) -> int:
 
     t0 = time.perf_counter()
     if args.technique == "arraysort":
-        parallel = args.parallel if args.workers > 1 else None
-        if parallel is not None and args.engine != "vectorized":
-            print("--workers applies to the vectorized engine only",
+        if args.planner is not None and args.engine != "vectorized":
+            print("--planner applies to the vectorized engine only",
                   file=sys.stderr)
             return 2
-        if args.planner is not None:
-            if args.engine != "vectorized":
-                print("--planner applies to the vectorized engine only",
-                      file=sys.stderr)
-                return 2
-            if parallel is not None:
-                print(f"--planner {args.planner} conflicts with "
-                      f"--workers {args.workers}: the planner chooses the "
-                      "execution engine per batch, so a fixed worker count "
-                      "cannot also apply (drop --workers, or use "
-                      "--planner sharded to force sharded execution)",
-                      file=sys.stderr)
-                return 2
-        sorter = GpuArraySort(
-            config, engine=args.engine,
-            parallel=parallel if args.planner is None else None,
-            workers=args.workers or None,
-            planner=args.planner,
-        )
+        sorter = GpuArraySort(config, engine=args.engine, planner=args.planner)
         result = sorter.sort(batch)
         out = result.batch
         elapsed = time.perf_counter() - t0
@@ -398,12 +366,6 @@ def _cmd_sort(args) -> int:
               f"{elapsed:.3f} s wall")
         for phase, secs in result.phase_seconds.items():
             print(f"  {phase}: {secs:.3f} s")
-        info = getattr(result, "parallel_info", None)
-        if info is not None:
-            print(f"  sharded: {info['engine']} x{info['workers']} "
-                  f"({info['shards']} shards"
-                  + (", fell back to serial)" if info["fell_back_to_serial"]
-                     else ")"))
         plan = getattr(result, "execution_plan", None)
         if plan is not None:
             print(f"  planner: chose {plan.engine} (source={plan.source})")
@@ -799,8 +761,6 @@ def _cmd_resilience(args) -> int:
         fault_plan=plan,
         retry_policy=RetryPolicy(max_retries=args.max_retries),
         sleep=_time.sleep if args.real_backoff else None,
-        parallel="thread" if args.workers > 1 else None,
-        workers=args.workers or None,
     )
     streamer = StreamingSorter(
         batch.shape[1], batch_arrays=args.batch_arrays, sorter=resilient

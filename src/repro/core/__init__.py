@@ -61,7 +61,7 @@ from .radix import (
     radix_sort_rows,
     sortable_keys,
 )
-from .workspace import ScratchArena, WorkspaceStats, find_shared_slab
+from .workspace import ScratchArena, WorkspaceStats
 from .validation import (
     ValidationFailure,
     assert_batch_sorted,
@@ -101,7 +101,6 @@ __all__ = [
     "SortResult",
     "SplitterResult",
     "WorkspaceStats",
-    "find_shared_slab",
     "index_plan_cache_info",
     "ValidationFailure",
     "adaptive_row_chunk",

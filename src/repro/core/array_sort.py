@@ -107,21 +107,10 @@ class GpuArraySort:
         paper's K40c.
     verify:
         When true, assert sortedness + permutation after every run.
-    parallel:
-        Multicore sharded execution for the vectorized engine: ``None``
-        (serial, the default), ``"thread"``, ``"process"``, or an
-        executor instance from :mod:`repro.parallel`.  Row shards are
-        data-independent (phase 1 is per-row), so the output is
-        deterministic regardless of worker count.
-    workers:
-        Worker count for ``parallel``; defaults to the machine's cores.
     planner:
-        Per-batch engine choice (vectorized engine only, and mutually
-        exclusive with ``parallel`` — a planner *is* a dispatch policy).
-        ``"auto"`` uses the process-wide
-        :class:`~repro.planner.ExecutionPlanner`: the flat ``"radix"``
-        row sort for every dtype it supports, else the fused serial
-        path (``longdouble``); ``"fused"`` / ``"sharded"`` /
+        Per-batch engine choice (vectorized engine only).  ``"auto"``
+        uses the process-wide :class:`~repro.planner.ExecutionPlanner`:
+        the flat ``"radix"`` row sort for every dtype; ``"fused"`` /
         ``"radix"`` force one engine via
         :class:`~repro.planner.StaticPlanner`; a planner instance passes
         through.  Implies a scratch arena (see ``workspace``).
@@ -139,7 +128,7 @@ class GpuArraySort:
         chunk-by-chunk via :class:`~repro.outofcore.CapacitySorter`
         (the declared planner — default ``"auto"`` — picks the engine
         per chunk).  Vectorized engine only, and mutually exclusive
-        with ``parallel`` and ``sampler``.  The result carries the
+        with ``sampler``.  The result carries the
         capacity run on a dynamic ``capacity`` attribute.
     """
 
@@ -153,8 +142,6 @@ class GpuArraySort:
         device=None,
         verify: bool = False,
         sampler=None,
-        parallel=None,
-        workers: Optional[int] = None,
         planner=None,
         workspace=None,
         memory_budget=None,
@@ -169,22 +156,6 @@ class GpuArraySort:
         #: regular sampling (vectorized engine only; the paper's Section 9
         #: multi-sampling plan).
         self.sampler = sampler
-        self._executor = None
-        if parallel is not None:
-            if engine != "vectorized":
-                raise ValueError(
-                    "parallel execution requires engine='vectorized' "
-                    f"(got engine={engine!r})"
-                )
-            if planner is not None:
-                raise ValueError(
-                    "planner and parallel are mutually exclusive: the "
-                    "planner chooses the execution engine per batch; pass "
-                    "planner='sharded' to force sharded execution"
-                )
-            from ..parallel import resolve_executor  # local: optional subsystem
-
-            self._executor = resolve_executor(parallel, workers=workers)
         self._planner = None
         if planner is not None:
             if engine != "vectorized":
@@ -194,7 +165,7 @@ class GpuArraySort:
                 )
             from ..planner import resolve_planner  # local: optional subsystem
 
-            self._planner = resolve_planner(planner, workers=workers)
+            self._planner = resolve_planner(planner)
         self.workspace = None
         if workspace is not None and workspace is not False:
             from .workspace import ScratchArena
@@ -214,12 +185,6 @@ class GpuArraySort:
                 raise ValueError(
                     "memory_budget requires engine='vectorized' "
                     f"(got engine={engine!r})"
-                )
-            if parallel is not None:
-                raise ValueError(
-                    "memory_budget and parallel are mutually exclusive: the "
-                    "capacity tier's per-chunk planner chooses the engine "
-                    "(pass planner='sharded' to force sharded chunks)"
                 )
             if sampler is not None:
                 raise ValueError(
@@ -273,31 +238,19 @@ class GpuArraySort:
                 batch, inplace=inplace, descending=descending
             )
 
-        # Plan before the work copy: a process-pool plan wants the copy
-        # staged straight into a shared-memory slab so the engine can
-        # skip its own staging memcpy (see ProcessPoolEngine).
-        plan = None
-        if self._planner is not None and self.engine == "vectorized" and self.sampler is None:
-            plan = self._planner.plan(
-                batch.shape[0], batch.shape[1], batch.dtype, config=self.config
-            )
-
         scratch = False
         if inplace:
             work = batch
         elif self.workspace is not None:
-            if plan is not None and plan.engine == "process":
-                work = self.workspace.get_shared("work", batch.shape, batch.dtype)
-            else:
-                work = self.workspace.get("work", batch.shape, batch.dtype)
+            work = self.workspace.get("work", batch.shape, batch.dtype)
             np.copyto(work, batch)
             scratch = True
         else:
             work = batch.astype(batch.dtype, copy=True)
         reference = batch.copy() if self.verify else None
 
-        if plan is not None:
-            result = self._sort_planned(work, plan)
+        if self._planner is not None and self.sampler is None:
+            result = self._sort_planned(work)
         else:
             result = self._split_nan_rows(work, self._dispatch)
 
@@ -405,13 +358,6 @@ class GpuArraySort:
         )
 
     def _sort_vectorized(self, work: np.ndarray) -> SortResult:
-        # Sharded multicore path: row shards are data-independent, so the
-        # executor's output is identical to the serial path.  A custom
-        # sampler is host-side state the workers cannot share; fall back
-        # to serial for it.
-        if self._executor is not None and self.sampler is None:
-            return self._executor.sort_batch(work, self.config)
-
         t0 = time.perf_counter()
         if self.sampler is not None:
             spl = self.sampler.select(work)
@@ -451,31 +397,25 @@ class GpuArraySort:
             },
         )
 
-    def _sort_planned(self, work: np.ndarray, plan) -> SortResult:
-        """Execute one :class:`~repro.planner.ExecutionPlan` and report back.
+    def _sort_planned(self, work: np.ndarray) -> SortResult:
+        """Plan one batch, execute the plan, and report back.
 
         Radix plans sort the whole batch, NaN rows included; serial
-        plans run the regular (arena-backed) fused path and sharded
-        plans the planner's cached executor instance, both behind the
+        plans run the regular (arena-backed) fused path behind the
         NaN-row split.  Either way the measured wall time feeds
-        ``planner.observe`` so the next same-shape batch dispatches on
-        evidence, not prediction.
+        ``planner.observe``.
         """
+        plan = self._planner.plan(
+            work.shape[0], work.shape[1], work.dtype, config=self.config
+        )
         t0 = time.perf_counter()
         if plan.engine == "radix":
             result = self._sort_radix(work)
         else:
-            executor = self._planner.executor_for(plan)
-            if executor is None:
-                result = self._split_nan_rows(work, self._sort_vectorized)
-            else:
-                result = self._split_nan_rows(
-                    work, lambda rows: executor.sort_batch(rows, self.config)
-                )
+            result = self._split_nan_rows(work, self._sort_vectorized)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
         self._planner.observe(plan, elapsed_ms)
-        # Decision provenance for observability/tests (dynamic attribute,
-        # like parallel_info on the executor path).
+        # Decision provenance for observability/tests (dynamic attribute).
         result.execution_plan = plan
         return result
 

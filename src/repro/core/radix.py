@@ -43,13 +43,15 @@ Strategies (``radix_sort_rows(strategy=...)``):
     byte for byte); NumPy >= 2 dispatches 32/64-bit rows to SIMD
     kernels at a few ns/element, which interpreted digit passes cannot
     approach — each pass materializes several full-batch temporaries.
+    Needing no keys, it also takes ``longdouble``, which has no
+    fixed-width key bijection and so no LSD form.
 ``"auto"``
     Picks ``"direct"``.  The crossover (``passes * N*n`` linear traffic
     vs ``N*n*log n`` comparisons) never favors interpreted passes on a
     NumPy host; a compiled or device backend would flip it.
 
-Either strategy is byte-identical to ``np.sort(axis=1)`` on every
-supported dtype, including NaN placement under ``sort_to_end``.
+Either strategy is byte-identical to ``np.sort(axis=1)`` on every dtype
+it accepts, including NaN placement under ``sort_to_end``.
 """
 
 from __future__ import annotations
@@ -86,10 +88,11 @@ _CANONICAL_NAN_BITS = {2: 0x7E00, 4: 0x7FC00000, 8: 0x7FF8000000000000}
 
 
 def supports_dtype(dtype) -> bool:
-    """True when the radix engine can sort batches of ``dtype``.
+    """True when the key bijection (and so the LSD strategy) covers ``dtype``.
 
-    Covers the full numeric surface ``validate_batch`` admits: bool,
-    signed/unsigned integers, and IEEE floats up to 8 bytes.
+    Covers bool, signed/unsigned integers, and IEEE floats up to 8
+    bytes — every numeric dtype ``validate_batch`` admits except
+    ``longdouble``, which only the ``direct`` strategy sorts.
     """
     try:
         dtype = np.dtype(dtype)
@@ -181,8 +184,9 @@ def radix_sort_rows(
 ) -> RadixInfo:
     """Sort every row of ``work`` in place; returns a :class:`RadixInfo`.
 
-    ``work`` must be a writeable, C-contiguous ``(N, n)`` batch of a
-    :func:`supports_dtype` dtype.  NaNs follow ``nan_policy``:
+    ``work`` must be a writeable, C-contiguous ``(N, n)`` numeric batch;
+    the ``lsd`` strategy also needs a :func:`supports_dtype` dtype.
+    NaNs follow ``nan_policy``:
     ``"sort_to_end"`` (default, matching ``np.sort``) places them after
     every finite value and ``+inf`` via the canonical-NaN key mapping;
     ``"raise"`` probes for NaN and rejects the batch.  Callers that
@@ -196,10 +200,16 @@ def radix_sort_rows(
     work = np.asarray(work)
     if work.ndim != 2:
         raise ValueError(f"expected (N, n) batch, got shape {work.shape}")
-    _require_supported(work.dtype)
     if strategy not in RADIX_STRATEGIES:
         raise ValueError(
             f"unknown strategy {strategy!r}; choose from {RADIX_STRATEGIES}"
+        )
+    if strategy == "lsd":
+        _require_supported(work.dtype)
+    elif work.dtype.kind not in "biuf":
+        raise TypeError(
+            "row sort needs a numeric dtype (bool, int, uint, float), "
+            f"got {work.dtype!r}"
         )
     if nan_policy not in ("raise", "sort_to_end"):
         raise ValueError(

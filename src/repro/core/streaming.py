@@ -120,16 +120,10 @@ class StreamingSorter:
         :class:`GpuArraySort`; pass a
         :class:`repro.resilience.ResilientSorter` to get retry/fallback
         behavior and quarantine-to-dead-letter instead of session aborts.
-    parallel / workers:
-        Sharded multicore execution for the default sorter (see
-        :mod:`repro.parallel`); ignored when an explicit ``sorter`` is
-        injected (configure that sorter directly instead).  Streaming
-        batches all share one shape, so the executor's shard plan and the
-        phase-1 index-plan cache are reused batch after batch.
     planner / workspace:
-        Adaptive engine planning and scratch-arena pooling for the
-        default sorter (see :class:`GpuArraySort`); like ``parallel``,
-        ignored when an explicit ``sorter`` is injected.  With an arena,
+        Engine planning and scratch-arena pooling for the default sorter
+        (see :class:`GpuArraySort`); ignored when an explicit ``sorter``
+        is injected (configure that sorter directly instead).  With an arena,
         steady-state emission is allocation-free: ``on_batch`` consumers
         receive a zero-copy view **valid until the next emission** (copy
         to retain), while batches collected on ``results`` are copied
@@ -154,8 +148,6 @@ class StreamingSorter:
         on_batch: Optional[Callable[[np.ndarray], None]] = None,
         dtype=None,
         sorter=None,
-        parallel=None,
-        workers: Optional[int] = None,
         planner=None,
         workspace=None,
         dead_letter_capacity: Optional[int] = -1,
@@ -192,11 +184,7 @@ class StreamingSorter:
             self._sorter = sorter
         else:
             self._sorter = GpuArraySort(
-                config,
-                parallel=parallel,
-                workers=workers,
-                planner=planner,
-                workspace=workspace,
+                config, planner=planner, workspace=workspace
             )
         self._staging = np.empty((self.batch_arrays, self.array_size), self.dtype)
         self._fill = 0

@@ -22,8 +22,7 @@ pool bookkeeping only; the *storage* stays single-owner: two threads
 requesting the same ``(tag, dtype)`` key receive views of the **same**
 buffer, so concurrent use of one key still needs external coordination
 (each sorter keeps its own arena, exactly like the paper's per-block
-shared-memory staging belongs to one block; sharded executors never
-share an arena across workers).
+shared-memory staging belongs to one block).
 
 Scratch semantics: views handed out by :meth:`ScratchArena.get` are
 valid **until the next request for the same ``(tag, dtype)`` key** — a
@@ -31,73 +30,18 @@ sorter's next batch reuses them.  Callers that retain results across
 sorts (e.g. :class:`~repro.core.streaming.StreamingSorter` collecting to
 ``results``) must copy; results delivered to an ``on_batch`` consumer
 follow the classic streaming contract (valid until the next emission).
-
-Shared-memory slabs: :meth:`ScratchArena.get_shared` allocates the
-buffer inside a ``multiprocessing.shared_memory`` segment and registers
-it in a module-level registry, so
-:class:`~repro.parallel.executors.ProcessPoolEngine` can recognize
-(:func:`find_shared_slab`) that a batch already lives in shared memory
-and skip its per-sort staging copy entirely — workers attach the
-existing segment by name instead.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from ..statan import runtime as _sanitizer
 
-__all__ = [
-    "ScratchArena",
-    "WorkspaceStats",
-    "find_shared_slab",
-    "register_shared_slab",
-    "unregister_shared_slab",
-]
-
-
-#: Module-level registry of live shared-memory slabs:
-#: ``shm name -> (start address, stop address, SharedMemory)``.  Consulted
-#: by :func:`find_shared_slab`; entries are removed when the owning arena
-#: closes.  Addresses (not array identities) are registered so that *any*
-#: contiguous view into a slab — e.g. the ``slab[:N]`` prefix a sorter
-#: hands to an executor — is recognized.
-_SHARED_SLABS: Dict[str, Tuple[int, int, object]] = {}
-
-
-def register_shared_slab(name: str, array: np.ndarray, shm: object) -> None:
-    """Record that ``array``'s bytes live in the shared segment ``name``."""
-    start = int(array.__array_interface__["data"][0])
-    _SHARED_SLABS[name] = (start, start + int(array.nbytes), shm)
-
-
-def unregister_shared_slab(name: str) -> None:
-    """Drop a slab from the registry (idempotent)."""
-    _SHARED_SLABS.pop(name, None)
-
-
-def find_shared_slab(array: np.ndarray) -> Optional[Tuple[str, int]]:
-    """``(shm name, byte offset)`` if ``array`` lives inside a registered slab.
-
-    Returns ``None`` for ordinary heap arrays, non-contiguous views, and
-    arrays only partially covered by a slab.  The offset is where the
-    array's first byte sits inside the segment, so a worker process can
-    attach with ``np.ndarray(shape, dtype, buffer=shm.buf, offset=offset)``.
-    """
-    if not isinstance(array, np.ndarray) or not array.flags.c_contiguous:
-        return None
-    if not _SHARED_SLABS:
-        return None
-    start = int(array.__array_interface__["data"][0])
-    stop = start + int(array.nbytes)
-    for name, (lo, hi, _shm) in _SHARED_SLABS.items():
-        if lo <= start and stop <= hi:
-            return name, start - lo
-    return None
+__all__ = ["ScratchArena", "WorkspaceStats"]
 
 
 @dataclasses.dataclass
@@ -131,24 +75,18 @@ class ScratchArena:
             raise ValueError(f"growth factor must be >= 1.0, got {growth}")
         self.growth = float(growth)
         self.stats = WorkspaceStats()
-        #: Guards pool checkout/growth and close (see module docstring);
-        #: reentrant because get_shared falls back to get() on platforms
-        #: without shared memory.
-        self._lock = _sanitizer.make_rlock("ScratchArena._lock")
+        #: Guards pool checkout/growth and close (see module docstring).
+        self._lock = _sanitizer.make_lock("ScratchArena._lock")
         self._pools: Dict[Tuple[str, str], np.ndarray] = {}  # guarded-by: _lock
-        #: name -> SharedMemory for slabs owned by this arena.
-        self._shared: Dict[str, object] = {}  # guarded-by: _lock
-        #: pool key -> owning shm name (shared pools only).
-        self._pool_shm_name: Dict[Tuple[str, str], str] = {}  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
 
     # -- plain buffers -----------------------------------------------------
     def get(self, tag: str, shape, dtype) -> np.ndarray:
         """A C-contiguous ``shape``/``dtype`` view of the pooled buffer.
 
-        Valid until the next ``get``/``get_shared`` with the same
-        ``(tag, dtype)`` key.  Contents are undefined (no zeroing — the
-        hot path always overwrites).
+        Valid until the next ``get`` with the same ``(tag, dtype)`` key.
+        Contents are undefined (no zeroing — the hot path always
+        overwrites).
         """
         dtype = np.dtype(dtype)
         shape = tuple(int(s) for s in shape)
@@ -185,77 +123,6 @@ class ScratchArena:
                 )
             return view
 
-    # -- shared-memory slabs ----------------------------------------------
-    def get_shared(self, tag: str, shape, dtype) -> np.ndarray:
-        """Like :meth:`get`, but backed by ``multiprocessing.shared_memory``.
-
-        The slab is registered so :func:`find_shared_slab` (and therefore
-        ``ProcessPoolEngine``) recognizes any contiguous view of it.
-        Falls back to a plain pooled buffer when shared memory is
-        unavailable on the platform.
-        """
-        try:
-            from multiprocessing import shared_memory
-        except ImportError:  # pragma: no cover - always present on CPython
-            return self.get(tag, shape, dtype)
-        dtype = np.dtype(dtype)
-        shape = tuple(int(s) for s in shape)
-        need = 1
-        for s in shape:
-            need *= s
-        key = (tag + "@shm", dtype.str)
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("arena is closed")
-            pool = self._pools.get(key)
-            if pool is None or pool.size < need:
-                capacity = need
-                if pool is not None:
-                    capacity = max(need, int(pool.size * self.growth))
-                    self.stats.grows += 1
-                    self._release_shared_pool_locked(key)
-                nbytes = max(1, capacity * dtype.itemsize)
-                shm = shared_memory.SharedMemory(create=True, size=nbytes)
-                pool = np.ndarray((capacity,), dtype=dtype, buffer=shm.buf)
-                self._pools[key] = pool
-                self._shared[shm.name] = shm
-                self._pool_shm_name[key] = shm.name
-                register_shared_slab(shm.name, pool, shm)
-                self.stats.allocations += 1
-                self.stats.bytes_held += pool.nbytes
-            else:
-                self.stats.hits += 1
-            view = pool[:need].reshape(shape)
-            if _sanitizer.enabled():
-                region = ("ScratchArena", id(self), key)
-                _sanitizer.new_epoch(region)
-                view = _sanitizer.track_view(
-                    view, region,
-                    label=f"ScratchArena.get_shared({tag!r}, {dtype.str})",
-                )
-            return view
-
-    def _release_shared_pool_locked(self, key: Tuple[str, str]) -> None:
-        """Drop one shared pool and unlink its slab; caller holds ``_lock``."""
-        pool = self._pools.pop(key, None)
-        if pool is None:
-            return
-        if _sanitizer.enabled():
-            # The segment is about to be unlinked: outstanding views of
-            # this key are no longer backed by live storage.
-            _sanitizer.new_epoch(("ScratchArena", id(self), key))
-        self.stats.bytes_held -= pool.nbytes
-        name = self._pool_shm_name.pop(key, None)
-        shm = self._shared.pop(name, None) if name else None
-        del pool  # drop the ndarray view before closing its buffer
-        if shm is not None:
-            unregister_shared_slab(name)
-            try:
-                shm.close()
-                shm.unlink()
-            except (FileNotFoundError, OSError):  # pragma: no cover
-                pass
-
     # -- lifecycle ---------------------------------------------------------
     @property
     def closed(self) -> bool:
@@ -263,15 +130,13 @@ class ScratchArena:
             return self._closed
 
     def close(self) -> None:
-        """Release every pooled buffer and unlink owned shared slabs.
+        """Release every pooled buffer.
 
-        Idempotent.  After closing, ``get``/``get_shared`` raise.
+        Idempotent.  After closing, ``get`` raises.
         """
         with self._lock:
             if self._closed:
                 return
-            for key in [k for k in self._pools if k in self._pool_shm_name]:
-                self._release_shared_pool_locked(key)
             self._pools.clear()
             self.stats.bytes_held = 0
             self._closed = True

@@ -77,7 +77,7 @@ from ..service.errors import (
     RejectedError,
     ServiceClosedError,
 )
-from ..service.service import DEFAULT_RETRY_JITTER, derive_batch_target
+from ..service.service import DEFAULT_BATCH_TARGET_ROWS, DEFAULT_RETRY_JITTER
 from ..service.stats import StatsRecorder
 from .router import (
     DEFAULT_SPILL_FACTOR,
@@ -279,12 +279,13 @@ class SortFleet:
         self._recorder = StatsRecorder(latency_window=latency_window)
         # The worker's service requires max_queue_rows >= its batch
         # target; with a small router bound (hence a small derived
-        # worker queue) the service-side default target (up to 8192)
-        # would fail that check *inside the child*.  Resolve the target
+        # worker queue) the service-side default target
+        # (DEFAULT_BATCH_TARGET_ROWS) would fail that check *inside the
+        # child*.  Resolve the target
         # here and clamp it to the worker queue so every worker config
         # we ship is constructible.
         if batch_target_rows is None:
-            batch_target_rows = derive_batch_target(None)
+            batch_target_rows = DEFAULT_BATCH_TARGET_ROWS
         batch_target_rows = max(
             1, min(int(batch_target_rows), int(worker_max_queue_rows))
         )

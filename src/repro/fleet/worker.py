@@ -34,13 +34,17 @@ stats_dict)`` every ``heartbeat_s`` seconds, carrying the worker's full
 :class:`~repro.service.stats.ServiceStats` snapshot; the parent uses the
 cadence for liveness (a worker silent past the liveness deadline is
 declared dead and drained) and the payload for the fleet's aggregate
-metrics.
+metrics.  The same thread ends an orphaned worker: once the parent pid
+changes (the parent died and the worker was re-parented), the worker
+exits instead of waiting on a request queue nobody will write to.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import multiprocessing
+import os
 import threading
 from multiprocessing import shared_memory
 from typing import Dict, Optional, Tuple
@@ -159,11 +163,24 @@ def rebuild_error(
 
 
 def _heartbeat_loop(
-    worker_id: int, service, response_q, interval_s: float, stop: threading.Event
+    worker_id: int,
+    service,
+    response_q,
+    interval_s: float,
+    stop: threading.Event,
+    parent_pid: Optional[int],
 ) -> None:
-    """Post liveness + a ServiceStats snapshot until told to stop."""
+    """Post liveness + a ServiceStats snapshot until told to stop.
+
+    When ``parent_pid`` is set and is no longer this process's parent,
+    the parent is dead and the process exits on the spot.  The main
+    thread cannot notice by itself: it blocks in ``request_q.get()``,
+    and the worker's own inherited write end keeps that pipe open.
+    """
     seq = 0
     while not stop.wait(interval_s):
+        if parent_pid is not None and os.getppid() != parent_pid:
+            os._exit(1)
         seq += 1
         try:
             stats = service.stats().as_dict()
@@ -204,7 +221,10 @@ def worker_main(worker_id: int, request_q, response_q, cfg: WorkerConfig) -> Non
     stop = threading.Event()
     heartbeat = threading.Thread(
         target=_heartbeat_loop,
-        args=(worker_id, service, response_q, cfg.heartbeat_s, stop),
+        # parent_process() is None when not started by multiprocessing
+        # (in-thread use): there is then no parent to outlive.
+        args=(worker_id, service, response_q, cfg.heartbeat_s, stop,
+              getattr(multiprocessing.parent_process(), "pid", None)),
         name=f"repro-fleet-hb-{worker_id}",
         daemon=True,
     )

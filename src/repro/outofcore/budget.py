@@ -13,8 +13,7 @@ then verifies against real allocation behaviour:
   actually costs the hot path — the streaming staging copy, the
   sorter's :class:`~repro.core.workspace.ScratchArena` work buffer,
   phase-1 sample/splitter staging, fused-path metadata, and the
-  per-engine extras (a process-pool plan stages another full copy into
-  shared memory; the radix engine double-buffers its key space);
+  per-engine extras (the radix engine double-buffers its key space);
 * :func:`plan_budget` derives the chunk schedule: the largest chunk row
   count whose modeled working set fits the budget, and how many chunks
   that takes for the whole batch.
@@ -55,19 +54,14 @@ SAFETY_FACTOR = 1.25
 #: Extra full-payload copies each execution engine needs beyond the
 #: staging + work pair every path pays:
 #:
-#: * ``serial`` / ``thread`` — the fused row sort works in place and
-#:   thread shards share the caller's storage: no extra copy;
-#: * ``process`` — :class:`~repro.parallel.executors.ProcessPoolEngine`
-#:   stages the batch into a shared-memory slab (one more payload);
+#: * ``serial`` — the fused row sort works in place: no extra copy;
 #: * ``radix`` — the LSD path double-buffers the sortable-key space
 #:   (two more payloads in the worst ``strategy="lsd"`` case);
 #: * ``auto`` — the worst case among the engines.  That is ``radix``,
-#:   which ``planner="auto"`` picks for every dtype but ``longdouble``,
-#:   and it also covers a custom planner that picks any engine.
+#:   which ``planner="auto"`` picks for every dtype, and it also covers
+#:   a custom planner that picks any engine.
 ENGINE_EXTRA_COPIES = {
     "serial": 0.0,
-    "thread": 0.0,
-    "process": 1.0,
     "radix": 2.0,
 }
 

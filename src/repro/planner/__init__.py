@@ -1,9 +1,8 @@
 """Execution planning for the batch-sort hot path.
 
 :mod:`repro.planner.planner` holds :class:`ExecutionPlanner` — the
-``planner="auto"`` rule: the flat ``radix`` row sort for every dtype it
-supports, else the ``serial`` fused path — and :class:`StaticPlanner`,
-which forces one engine (``"fused"``/``"sharded"``/``"process"``/
+``planner="auto"`` rule: the flat ``radix`` row sort for every dtype —
+and :class:`StaticPlanner`, which forces one engine (``"fused"`` or
 ``"radix"``).
 
 Entry point for users: ``GpuArraySort(planner="auto")``.

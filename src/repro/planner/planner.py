@@ -2,20 +2,16 @@
 
 :class:`ExecutionPlanner` (``planner="auto"``) is a rule, not a search:
 ``radix`` — the whole batch through one in-place row sort
-(:func:`repro.core.radix.radix_sort_rows`) — for every dtype the row
-sort supports, else ``serial`` (the fused three-phase path; only
-``longdouble`` takes it).  The other engines are phase 1, that same row
-sort, then metadata recovery (``serial``), or that pipeline sharded
-over a pool (``thread``/``process``), so none of them can beat the row
-sort on a batch it supports; ``docs/performance.md`` has the measured
-evidence.
+(:func:`repro.core.radix.radix_sort_rows`) — for every dtype.  The
+other engine, ``serial``, is phase 1, that same row sort, then bucket
+metadata recovery, so it cannot beat the row sort;
+``docs/performance.md`` has the measured evidence.
 
 Every sorted batch still reports its wall time through
 :meth:`ExecutionPlanner.observe`, which keeps an EMA per shape class
 (:func:`shape_class_key`) for diagnostics and marks the class's plans
 ``source="observed"``.  :class:`StaticPlanner` forces one engine — the
-``"fused"``/``"sharded"``/``"process"``/``"radix"`` modes the paper
-benches and ablations use.
+``"fused"``/``"radix"`` modes the paper benches and ablations use.
 """
 
 from __future__ import annotations
@@ -24,14 +20,11 @@ import copy
 import dataclasses
 import functools
 import math
-import os
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..core.config import DEFAULT_CONFIG, SortConfig
-from ..core.radix import supports_dtype as _radix_supports_dtype
-from ..parallel.plan import DEFAULT_MIN_ROWS_PER_WORKER
 from ..statan import runtime as _sanitizer
 
 __all__ = [
@@ -55,18 +48,13 @@ _EMA_ALPHA = 0.3
 class ExecutionPlan:
     """One dispatch decision: how to sort the next batch."""
 
-    #: ``"serial"`` (fused vectorized path), ``"thread"``, ``"process"``
-    #: (that path sharded over a pool), or ``"radix"`` (flat row sort,
-    #: no bucket metadata).
+    #: ``"serial"`` (fused vectorized path) or ``"radix"`` (flat row
+    #: sort, no bucket metadata).
     engine: str
-    #: Worker count for the sharded engines (1 for serial and radix).
-    workers: int = 1
     #: Why this plan was chosen — one of :data:`PLAN_SOURCES`.
     source: str = "model"
     #: Shape-class key the decision was filed under.
     shape_key: str = ""
-    #: Fan-out guard forwarded to the executors' shard planning.
-    min_rows_per_worker: int = DEFAULT_MIN_ROWS_PER_WORKER
 
 
 @functools.lru_cache(maxsize=4096)
@@ -82,20 +70,18 @@ def shape_class_key(num_rows: int, row_len: int, dtype) -> str:
 
 
 @functools.lru_cache(maxsize=4096)
-def _auto_plans(shape_key: str, dtype) -> Tuple[ExecutionPlan, ExecutionPlan]:
+def _auto_plans(shape_key: str) -> Tuple[ExecutionPlan, ExecutionPlan]:
     """The ``(model, observed)`` plans of one shape class under the rule,
     built once so the steady state allocates no plan objects."""
-    engine = "radix" if _radix_supports_dtype(dtype) else "serial"
-    model = ExecutionPlan(engine=engine, source="model", shape_key=shape_key)
+    model = ExecutionPlan(engine="radix", source="model", shape_key=shape_key)
     return model, dataclasses.replace(model, source="observed")
 
 
 @_sanitizer.sanitize_guarded
 class _PlannerBase:
-    """Engine-instance caching + decision counting shared by all planners."""
+    """Decision counting shared by all planners."""
 
     def __init__(self) -> None:
-        self._engines: Dict[tuple, object] = {}
         self._lock = _sanitizer.make_lock("_PlannerBase._lock")
         #: shape key -> engine -> times plan() chose it.  The service's
         #: metrics surface exports this, so live traffic shows *which*
@@ -112,38 +98,14 @@ class _PlannerBase:
         with self._lock:
             return {key: dict(slot) for key, slot in self._plan_counts.items()}
 
-    def executor_for(self, plan: ExecutionPlan):
-        """The (cached) executor instance realizing ``plan``.
-
-        ``None`` for serial and radix plans — both run inside the
-        caller (serial keeps full phase-1 diagnostics; radix is the
-        sorter's own flat row-sort path).  Thread/process engines are
-        constructed once per (engine, workers) and reused, so the
-        planner adds no per-batch object churn.
-        """
-        if plan.engine in ("serial", "radix"):
-            return None
-        key = (plan.engine, plan.workers, plan.min_rows_per_worker)
-        engine = self._engines.get(key)
-        if engine is None:
-            from ..parallel.executors import ProcessPoolEngine, ThreadPoolEngine
-
-            cls = ThreadPoolEngine if plan.engine == "thread" else ProcessPoolEngine
-            engine = cls(
-                workers=plan.workers,
-                min_rows_per_worker=plan.min_rows_per_worker,
-            )
-            self._engines[key] = engine
-        return engine
-
     def observe(self, plan: ExecutionPlan, elapsed_ms: float) -> None:
         """Feed back a measured batch time (no-op unless adaptive)."""
 
 
 @_sanitizer.sanitize_guarded
 class ExecutionPlanner(_PlannerBase):
-    """The ``planner="auto"`` rule: ``radix`` when the row sort supports
-    the batch dtype, else ``serial``; plus a per-shape-class timing EMA.
+    """The ``planner="auto"`` rule: ``radix`` for every batch, plus a
+    per-shape-class timing EMA.
     """
 
     def __init__(self) -> None:
@@ -165,7 +127,7 @@ class ExecutionPlanner(_PlannerBase):
         does not depend on it.
         """
         key = shape_class_key(num_rows, row_len, dtype)
-        model, observed = _auto_plans(key, dtype)
+        model, observed = _auto_plans(key)
         with self._lock:
             seen = key in self._observations
         self._record_plan(key, model.engine)
@@ -196,28 +158,17 @@ class StaticPlanner(_PlannerBase):
     """Planner that always returns the same engine — the escape hatch.
 
     Realizes ``GpuArraySort(planner="fused")`` (always the serial fused
-    path), ``planner="sharded"`` (always the thread engine; its shard
-    planning still collapses to one shard below the fan-out threshold),
-    ``planner="process"`` and ``planner="radix"`` (always the flat row
-    sort).  The error message is derived from ``MODES``.
+    path) and ``planner="radix"`` (always the flat row sort).  The error
+    message is derived from ``MODES``.
     """
 
     MODES = {
         "serial": "serial",
         "fused": "serial",
-        "thread": "thread",
-        "sharded": "thread",
-        "process": "process",
         "radix": "radix",
     }
 
-    def __init__(
-        self,
-        mode: str,
-        *,
-        workers: Optional[int] = None,
-        min_rows_per_worker: int = DEFAULT_MIN_ROWS_PER_WORKER,
-    ) -> None:
+    def __init__(self, mode: str) -> None:
         super().__init__()
         try:
             self.engine = self.MODES[mode.lower()]
@@ -227,14 +178,6 @@ class StaticPlanner(_PlannerBase):
                 f"{sorted(set(self.MODES))}"
             ) from None
         self.mode = mode
-        if workers is None:
-            workers = (
-                1
-                if self.engine in ("serial", "radix")
-                else max(2, os.cpu_count() or 1)
-            )
-        self.workers = int(workers)
-        self.min_rows_per_worker = int(min_rows_per_worker)
 
     def plan(
         self,
@@ -246,13 +189,7 @@ class StaticPlanner(_PlannerBase):
     ) -> ExecutionPlan:
         key = shape_class_key(num_rows, row_len, dtype)
         self._record_plan(key, self.engine)
-        return ExecutionPlan(
-            engine=self.engine,
-            workers=self.workers,
-            source="static",
-            shape_key=key,
-            min_rows_per_worker=self.min_rows_per_worker,
-        )
+        return ExecutionPlan(engine=self.engine, source="static", shape_key=key)
 
 
 _default_planner: Optional[ExecutionPlanner] = None
@@ -275,18 +212,17 @@ def set_default_planner(planner: Optional[ExecutionPlanner]) -> None:
     _default_planner = planner
 
 
-def resolve_planner(spec, *, workers: Optional[int] = None):
+def resolve_planner(spec):
     """Turn a ``planner=`` spec into a planner instance (or ``None``).
 
     ``None`` means no planner (legacy dispatch); ``"auto"`` the shared
     :class:`ExecutionPlanner`; any :attr:`StaticPlanner.MODES` name
-    (``"fused"``/``"serial"``/``"sharded"``/``"thread"``/``"process"``/
-    ``"radix"``) a :class:`StaticPlanner`; an object with a ``plan``
-    method passes through.
+    (``"fused"``/``"serial"``/``"radix"``) a :class:`StaticPlanner`; an
+    object with ``plan`` and ``observe`` methods passes through.
     """
     if spec is None:
         return None
-    if hasattr(spec, "plan") and hasattr(spec, "executor_for"):
+    if hasattr(spec, "plan") and hasattr(spec, "observe"):
         return spec
     if isinstance(spec, str):
         key = spec.lower()
@@ -295,7 +231,7 @@ def resolve_planner(spec, *, workers: Optional[int] = None):
         if key == "auto":
             return get_default_planner()
         if key in StaticPlanner.MODES:
-            return StaticPlanner(key, workers=workers)
+            return StaticPlanner(key)
         raise ValueError(
             f"unknown planner {spec!r}; choose from "
             f"['auto'] + {sorted(set(StaticPlanner.MODES))} or pass a planner instance"

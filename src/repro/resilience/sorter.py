@@ -118,15 +118,11 @@ class ResilientSorter:
     degeneracy_threshold:
         Fraction of duplicated splitters in a row that counts as
         degenerate.
-    parallel / workers:
-        Sharded multicore execution (see :mod:`repro.parallel`), applied
-        whenever the ``"vectorized"`` engine runs — as the primary or as
-        a fallback link.  Sharding is deterministic, so retries and
-        verification behave identically to serial execution.
     planner:
         Per-batch engine choice for the ``"vectorized"`` link (see
-        :class:`~repro.planner.ExecutionPlanner`); mutually exclusive
-        with ``parallel``.  The planner-backed sorter is cached across
+        :class:`~repro.planner.ExecutionPlanner`), applied whenever that
+        engine runs — as the primary or as a fallback link.  The
+        planner-backed sorter is cached across
         attempts and calls, so its scratch arena persists for the
         session.
     """
@@ -143,8 +139,6 @@ class ResilientSorter:
         sleep: Optional[Callable[[float], None]] = time.sleep,
         max_resample_boosts: int = 2,
         degeneracy_threshold: float = 0.5,
-        parallel=None,
-        workers: Optional[int] = None,
         planner=None,
     ) -> None:
         if engine not in _DEFAULT_CHAINS:
@@ -172,13 +166,6 @@ class ResilientSorter:
         self.fallback_chain: Tuple[str, ...] = chain
         self.max_resample_boosts = int(max_resample_boosts)
         self.degeneracy_threshold = float(degeneracy_threshold)
-        if planner is not None and parallel is not None:
-            raise ValueError(
-                "planner and parallel are mutually exclusive (the planner "
-                "chooses the execution engine per batch)"
-            )
-        self.parallel = parallel
-        self.workers = workers
         self.planner = planner
         #: Sorter instances cached per (engine, config): retries and the
         #: degeneracy re-sampling escalation revisit the same few keys,
@@ -331,9 +318,7 @@ class ResilientSorter:
                 config,
                 engine=engine,
                 device=self.device,
-                # Sharding/planning only exist for the vectorized engine.
-                parallel=self.parallel if engine == "vectorized" else None,
-                workers=self.workers,
+                # Planning only exists for the vectorized engine.
                 planner=self.planner if engine == "vectorized" else None,
             )
             self._sorters[key] = sorter

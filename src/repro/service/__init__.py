@@ -1,9 +1,9 @@
 """Sort-as-a-service: async request front-end over the batch sorter.
 
-The subsystem that connects the fused/sharded/planner machinery to real
+The subsystem that connects the sorter and its planner to real
 traffic: many callers :meth:`~repro.service.SortService.submit` small
 requests concurrently; a dynamic batcher coalesces them into
-planner-sized ``(N, n)`` batches; one fused sort runs per batch; results
+``(N, n)`` batches; one sort runs per batch; results
 are demultiplexed back to per-caller futures.  Overload is explicit
 (bounded queue + :class:`RejectedError` backpressure), lateness is
 explicit (EDF scheduling + :class:`DeadlineExceededError` shedding), and
@@ -34,7 +34,7 @@ from .errors import (
     ServiceError,
 )
 from .metrics import METRICS_SCHEMA, collect_metrics, render_prometheus
-from .service import SortService, TenantQuota, derive_batch_target
+from .service import DEFAULT_BATCH_TARGET_ROWS, SortService, TenantQuota
 from .stats import ServiceStats, StatsRecorder, TenantStats
 from .traffic import (
     TenantLoad,
@@ -46,6 +46,7 @@ from .traffic import (
 )
 
 __all__ = [
+    "DEFAULT_BATCH_TARGET_ROWS",
     "ChaosReport",
     "ChaosScenario",
     "ChaosTenant",
@@ -66,7 +67,6 @@ __all__ = [
     "TenantStats",
     "TrafficReport",
     "collect_metrics",
-    "derive_batch_target",
     "evaluate_slos",
     "parse_size_mix",
     "render_prometheus",

@@ -28,9 +28,8 @@ priority).
 
 A lane becomes *ready* when either
 
-* its queued rows reach the batch size target (fed by the planner's
-  preferred shape class — see
-  :func:`repro.service.service.derive_batch_target`), or
+* its queued rows reach the batch size target (by default
+  :data:`repro.service.service.DEFAULT_BATCH_TARGET_ROWS`), or
 * its oldest request has lingered past ``linger_s`` (bounded latency for
   trickle traffic), or
 * the service is draining (flush/close).

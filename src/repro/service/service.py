@@ -7,14 +7,14 @@ millions of users", but every existing entry point
 :class:`~repro.resilience.ResilientSorter`) assumes one caller hands
 over one pre-assembled batch.  :class:`SortService` is the missing
 layer: many callers ``submit()`` small requests concurrently, a
-background batcher coalesces them into planner-sized batches, one fused
-sort runs per batch, and the result is demultiplexed back to each
-caller's ``Future``.
+background batcher coalesces them into batches of
+:data:`DEFAULT_BATCH_TARGET_ROWS` rows, one sort runs per batch, and the
+result is demultiplexed back to each caller's ``Future``.
 
 Composition, not bypass:
 
 * engine choice goes through ``planner=`` exactly like the sorters
-  (``"auto"`` adaptive, ``"fused"``/``"sharded"`` static);
+  (``"auto"`` rule, ``"fused"``/``"radix"`` static);
 * the sorter keeps a :class:`~repro.core.workspace.ScratchArena`, so
   steady-state serving sorts allocation-free; demuxed results are
   copied out of the arena by default (retained-result contract), or
@@ -47,7 +47,6 @@ tenant and exported by :mod:`repro.service.metrics`.
 from __future__ import annotations
 
 import dataclasses
-import math
 import threading
 import time
 from concurrent.futures import Future
@@ -56,7 +55,6 @@ from typing import Callable, Dict, List, Optional, Union
 import numpy as np
 
 from ..core.config import DEFAULT_CONFIG, SortConfig
-from ..parallel.plan import DEFAULT_MIN_ROWS_PER_WORKER
 from ..statan import runtime as _sanitizer
 from .batcher import DynamicBatcher, QueuedRequest
 from .errors import (
@@ -68,7 +66,13 @@ from .errors import (
 )
 from .stats import ServiceStats, StatsRecorder
 
-__all__ = ["SortService", "TenantQuota", "derive_batch_target"]
+__all__ = ["DEFAULT_BATCH_TARGET_ROWS", "SortService", "TenantQuota"]
+
+#: Queued rows that trigger a dispatch unless ``batch_target_rows`` is
+#: given — for :class:`SortService` and every fleet worker's service.  A
+#: power of two, so consecutive full batches land in the *same*
+#: quantized planner shape class (``shape_class_key`` rounds ``log2 N``).
+DEFAULT_BATCH_TARGET_ROWS = 4096
 
 #: Default bounded jitter fraction on ``retry_after`` hints: rejected
 #: clients resubmit spread over ``[hint, hint * (1 + jitter)]`` instead
@@ -97,26 +101,6 @@ class TenantQuota:
                 raise ValueError(f"{name} must be >= 1 or None, got {value}")
 
 
-def derive_batch_target(planner) -> int:
-    """Batch size target from the planner's preferred shape class.
-
-    A planner's fan-out guard (``min_rows_per_worker``; planners without
-    one, ``planner="auto"`` included, get
-    :data:`~repro.parallel.plan.DEFAULT_MIN_ROWS_PER_WORKER`) is the
-    batch scale at which sharded engines split a batch at all, so it is
-    the natural "big enough to be worth a launch" target.  The result is
-    clamped to a serviceable range and rounded down to a power of two,
-    so consecutive full batches land in the *same* quantized planner
-    shape class (``shape_class_key`` rounds ``log2 N``) and its timings
-    accumulate in one entry.
-    """
-    preferred = getattr(planner, "min_rows_per_worker", None)
-    if not isinstance(preferred, int) or preferred < 1:
-        preferred = DEFAULT_MIN_ROWS_PER_WORKER
-    clamped = max(256, min(8192, preferred))
-    return 1 << int(math.floor(math.log2(clamped)))
-
-
 @_sanitizer.sanitize_guarded
 class SortService:
     """Async sort front-end with dynamic batching and admission control.
@@ -134,16 +118,16 @@ class SortService:
     planner:
         Engine choice for the backend sorter, same vocabulary as
         :class:`GpuArraySort(planner=...) <repro.core.array_sort.GpuArraySort>`
-        (``None``, ``"auto"``, ``"fused"``, ``"sharded"``, or an
-        instance).  Also feeds the default batch size target.
+        (``None``, ``"auto"``, ``"fused"``, ``"radix"``, or an
+        instance).
     backend:
         ``None`` (a :class:`GpuArraySort` with a scratch arena — the
         default), ``"resilient"`` (a :class:`ResilientSorter` for
         verify/retry/quarantine semantics), or any object whose
         ``sort(batch)`` returns a result with a ``batch`` attribute.
     batch_target_rows:
-        Queued rows that trigger a dispatch; default derived from the
-        planner via :func:`derive_batch_target`.
+        Queued rows that trigger a dispatch (default
+        :data:`DEFAULT_BATCH_TARGET_ROWS`).
     max_batch_rows:
         Hard per-batch cap (default ``4 * batch_target_rows``).
     linger_ms:
@@ -204,7 +188,7 @@ class SortService:
             resolved_planner = resolve_planner(planner)
         self._sorter = self._make_backend(backend, config, resolved_planner)
         if batch_target_rows is None:
-            batch_target_rows = derive_batch_target(resolved_planner)
+            batch_target_rows = DEFAULT_BATCH_TARGET_ROWS
         if batch_target_rows < 1:
             raise ValueError(
                 f"batch_target_rows must be >= 1, got {batch_target_rows}"

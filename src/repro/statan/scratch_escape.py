@@ -8,9 +8,9 @@ on ``self``, or resolving a future with it.
 
 Taint model (intra-procedural, per function):
 
-* **sources** — calls to ``.get(...)`` / ``.get_shared(...)`` on a
-  receiver whose dotted name mentions ``arena`` or ``workspace``
-  (``self.workspace.get(...)``, ``arena.get_shared(...)``), and any
+* **sources** — calls to ``.get(...)`` on a receiver whose dotted name
+  mentions ``arena`` or ``workspace`` (``self.workspace.get(...)``,
+  ``arena.get(...)``), and any
   assignment whose line carries a ``# statan: scratch-view`` marker (the
   project convention for "this expression is a view of reused storage"
   where the lint cannot see it, e.g. ``out = result.batch``);
@@ -131,10 +131,10 @@ class _FunctionTaint:
             name = func.attr
         elif isinstance(func, ast.Name):
             name = func.id
-        # Source: arena.get(...) / arena.get_shared(...).
+        # Source: arena.get(...).
         if (
             isinstance(func, ast.Attribute)
-            and name in ("get", "get_shared")
+            and name == "get"
             and _is_arena_expr(func.value)
         ):
             return True

@@ -181,28 +181,17 @@ class TestCalibrateCommand:
         assert "Fig 4 right edge" in capsys.readouterr().out
 
 
-class TestPlannerWorkersConflict:
-    def test_error_names_both_flags_and_values(self, capsys):
-        """The mutual-exclusion diagnostic must name both conflicting
-        flags with their values and suggest the fix."""
-        rc = main([
-            "sort", "-N", "50", "-n", "40",
-            "--planner", "auto", "--workers", "4",
-        ])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "--planner auto" in err
-        assert "--workers 4" in err
-        assert "drop --workers" in err
-
+class TestSortPlannerFlag:
     def test_planner_alone_is_fine(self, capsys):
         rc = main(["sort", "-N", "50", "-n", "40", "--planner", "fused"])
         assert rc == 0
         assert "planner: chose" in capsys.readouterr().out
 
-    def test_workers_alone_is_fine(self, capsys):
-        rc = main(["sort", "-N", "50", "-n", "40", "--workers", "2"])
-        assert rc == 0
+    def test_planner_needs_vectorized_engine(self, capsys):
+        rc = main(["sort", "-N", "2", "-n", "40", "--engine", "model",
+                   "--planner", "auto"])
+        assert rc == 2
+        assert "vectorized engine only" in capsys.readouterr().err
 
 
 @pytest.mark.service

@@ -213,6 +213,16 @@ class TestRadixSortRows:
             radix_sort_rows(np.zeros((2, 2), np.complex64))
         assert RADIX_STRATEGIES == ("auto", "direct", "lsd")
 
+    def test_longdouble_is_direct_only(self):
+        # No fixed-width key bijection: the LSD passes reject it, while
+        # the direct strategy sorts it in value space like np.sort.
+        batch = np.array([[2.0, np.nan, -0.0, -np.inf, 1.0]], np.longdouble)
+        with pytest.raises(TypeError):
+            radix_sort_rows(batch.copy(), strategy="lsd")
+        work = batch.copy()
+        assert radix_sort_rows(work).strategy == "direct"
+        assert work.tobytes() == np.sort(batch, axis=1).tobytes()
+
     def test_degenerate_shapes(self):
         for shape in [(0, 8), (4, 0), (4, 1)]:
             work = np.ones(shape, np.float32)

@@ -67,6 +67,16 @@ def shm_exists(name):
     return os.path.exists(os.path.join("/dev/shm", name))
 
 
+def pid_running(pid):
+    """True while ``pid`` is a live (not zombie) process."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            # The state follows the parenthesised command name.
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError, IndexError):
+        return False
+
+
 linux_shm = pytest.mark.skipif(
     not sys.platform.startswith("linux") or not os.path.isdir("/dev/shm"),
     reason="slab names are checked under /dev/shm",
@@ -263,9 +273,9 @@ class TestSlabLifecycle:
     def test_resource_tracker_unlinks_slabs_after_parent_sigkill(
         self, tmp_path
     ):
-        """A SIGKILLed parent runs no close(): once its workers are gone
-        too, the resource tracker unlinks every slab it created —
-        pooled and in flight alike."""
+        """A SIGKILLed parent runs no close(): its orphaned workers end
+        themselves, and then the resource tracker unlinks every slab it
+        created — pooled and in flight alike."""
         child = textwrap.dedent("""
             import json, os, signal
             import numpy as np
@@ -298,14 +308,13 @@ class TestSlabLifecycle:
         assert proc.returncode == -signal.SIGKILL, err.read_text()
         report = json.loads(out.read_text().strip().splitlines()[-1])
         assert len(report["names"]) == 2
-        for pid in report["pids"]:  # orphaned workers hold the tracker open
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
+        assert report["pids"]
         deadline = time.monotonic() + 20.0
         while time.monotonic() < deadline:
-            if not any(shm_exists(name) for name in report["names"]):
+            if not any(pid_running(pid) for pid in report["pids"]) and not any(
+                shm_exists(name) for name in report["names"]
+            ):
                 break
             time.sleep(0.05)
+        assert not any(pid_running(pid) for pid in report["pids"])
         assert not any(shm_exists(name) for name in report["names"])

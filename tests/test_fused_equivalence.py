@@ -139,36 +139,3 @@ class TestFusedBucketSort:
             fused_bucket_sort(np.ones((2, 4)), np.ones((2, 3)), num_buckets=2)
         with pytest.raises(ValueError):
             fused_bucket_sort(np.ones(4), np.ones((1, 1)), num_buckets=2)
-
-
-class TestShardedDeterminism:
-    """Row sharding must never change the answer — any worker count."""
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_thread_matches_serial(self, rng, workers):
-        batch = _batch(rng, np.float32, num_arrays=200, array_size=128)
-        serial = GpuArraySort().sort(batch)
-        sharded = GpuArraySort(parallel="thread", workers=workers).sort(batch)
-        assert sharded.batch.tobytes() == serial.batch.tobytes()
-        assert np.array_equal(sharded.buckets.sizes, serial.buckets.sizes)
-        assert np.array_equal(sharded.buckets.offsets, serial.buckets.offsets)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_process_matches_serial(self, rng, workers):
-        batch = _batch(rng, np.float64, num_arrays=150, array_size=96)
-        serial = GpuArraySort().sort(batch)
-        sharded = GpuArraySort(parallel="process", workers=workers).sort(batch)
-        assert sharded.batch.tobytes() == serial.batch.tobytes()
-        assert np.array_equal(sharded.buckets.offsets, serial.buckets.offsets)
-
-    def test_sharded_unfused_matches_serial_unfused(self, rng):
-        from repro.parallel import ThreadPoolEngine
-
-        batch = _batch(rng, np.float32, num_arrays=120, array_size=80)
-        cfg = SortConfig(fuse_phases=False)
-        serial = GpuArraySort(cfg).sort(batch)
-        engine = ThreadPoolEngine(workers=3, min_rows_per_shard=16,
-                                  min_rows_per_worker=1)
-        sharded = GpuArraySort(cfg, parallel=engine).sort(batch)
-        assert sharded.batch.tobytes() == serial.batch.tobytes()
-        assert np.array_equal(sharded.buckets.sizes, serial.buckets.sizes)

@@ -227,8 +227,6 @@ class TestFacade:
     def test_conflicting_options_rejected(self):
         with pytest.raises(ValueError, match="engine='vectorized'"):
             GpuArraySort(engine="sim", memory_budget="1M")
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            GpuArraySort(parallel="thread", memory_budget="1M")
         with pytest.raises(ValueError, match="sampler"):
             GpuArraySort(sampler=object(), memory_budget="1M")
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import GpuArraySort, SortConfig
 from repro.planner import (
-    ExecutionPlan,
     ExecutionPlanner,
     StaticPlanner,
     resolve_planner,
@@ -13,11 +12,11 @@ from repro.planner import (
     shape_class_key,
 )
 
-BIG = (100_000, 1000)  # rows, row_len — above the fan-out guard
-SMALL = (1000, 500)  # below it
+BIG = (100_000, 1000)  # rows, row_len
+SMALL = (1000, 500)
 
-#: Every dtype ``validate_batch`` admits.  ``longdouble`` is the one the
-#: radix row sort does not support, so ``auto`` plans it ``serial``.
+#: Every dtype ``validate_batch`` admits; ``auto`` plans ``radix`` for
+#: all of them (``longdouble`` through the row sort's direct strategy).
 ADMITTED_DTYPES = [
     np.bool_,
     np.int8, np.int16, np.int32, np.int64,
@@ -44,7 +43,7 @@ class TestAutoPlannerContract:
     @pytest.mark.parametrize("dtype", ADMITTED_DTYPES,
                              ids=lambda d: np.dtype(d).name)
     def test_rule_sources_and_byte_identity(self, dtype, rng):
-        expected_engine = "serial" if dtype is np.longdouble else "radix"
+        expected_engine = "radix"
         planner = ExecutionPlanner()
         first = planner.plan(*SMALL, dtype)
         assert (first.engine, first.source) == (expected_engine, "model")
@@ -59,6 +58,41 @@ class TestAutoPlannerContract:
         assert result.execution_plan.engine == expected_engine
         assert result.batch.dtype == batch.dtype
         assert result.batch.tobytes() == np.sort(batch, axis=1).tobytes()
+
+
+class TestLongdouble:
+    """``longdouble`` has no fixed-width key bijection, so ``auto`` sorts
+    it with the row sort's ``direct`` strategy, not the fused path."""
+
+    @staticmethod
+    def _batch():
+        return np.array(
+            [
+                [3.0, -0.0, 0.0, -np.inf, np.inf, -2.5],
+                [0.0, np.nan, -0.0, np.inf, 1.0, -np.inf],
+                [np.nan, -1.0, np.nan, 0.0, -0.0, 2.0],
+                [-0.0, 0.0, -0.0, 0.0, np.inf, -np.inf],
+            ],
+            dtype=np.longdouble,
+        )
+
+    def test_auto_plans_radix_and_matches_np_sort(self):
+        batch = self._batch()
+        sorter = GpuArraySort(SortConfig(nan_policy="sort_to_end"),
+                              planner=ExecutionPlanner())
+        result = sorter.sort(batch)
+        assert result.execution_plan.engine == "radix"
+        assert result.batch.dtype == np.longdouble
+        assert result.batch.tobytes() == np.sort(batch, axis=1).tobytes()
+
+    def test_raise_policy_rejects_before_any_write(self):
+        batch = self._batch()
+        before = batch.tobytes()
+        sorter = GpuArraySort(SortConfig(nan_policy="raise"),
+                              planner=ExecutionPlanner())
+        with pytest.raises(ValueError, match="NaN"):
+            sorter.sort(batch, inplace=True)
+        assert batch.tobytes() == before
 
 
 class TestShapeClassKey:
@@ -77,24 +111,6 @@ class TestShapeClassKey:
 
 
 class TestExecutionPlanner:
-    def test_executor_for_serial_is_none_and_engines_are_cached(self):
-        planner = ExecutionPlanner()
-        serial = ExecutionPlan(engine="serial")
-        assert planner.executor_for(serial) is None
-        sharded = ExecutionPlan(engine="thread", workers=2)
-        engine = planner.executor_for(sharded)
-        assert engine is not None
-        assert planner.executor_for(sharded) is engine  # no per-batch churn
-
-    def test_executor_for_radix_is_none(self):
-        # Radix runs in-caller like serial: no executor, no shards.
-        assert ExecutionPlanner().executor_for(ExecutionPlan(engine="radix")) is None
-
-    def test_unsupported_dtype_plans_serial(self):
-        planner = ExecutionPlanner()
-        assert planner.plan(*BIG, np.float32).engine == "radix"
-        assert planner.plan(*BIG, np.dtype("datetime64[ns]")).engine == "serial"
-
     def test_plan_counts_track_selections_per_shape(self):
         planner = ExecutionPlanner()
         for _ in range(3):
@@ -116,9 +132,6 @@ class TestStaticPlanner:
         [
             ("fused", "serial"),
             ("serial", "serial"),
-            ("sharded", "thread"),
-            ("thread", "thread"),
-            ("process", "process"),
             ("radix", "radix"),
         ],
     )
@@ -133,6 +146,9 @@ class TestStaticPlanner:
         planner.plan(*BIG, np.float32)
         (shape_counts,) = planner.plan_counts().values()
         assert shape_counts == {"radix": 2}
+
+    def test_modes(self):
+        assert set(StaticPlanner.MODES) == {"fused", "serial", "radix"}
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -159,9 +175,9 @@ class TestResolvePlanner:
             set_default_planner(None)
 
     def test_mode_names_build_static_planners(self):
-        planner = resolve_planner("sharded", workers=3)
+        planner = resolve_planner("fused")
         assert isinstance(planner, StaticPlanner)
-        assert planner.workers == 3
+        assert planner.engine == "serial"
 
     def test_instance_passthrough(self):
         planner = ExecutionPlanner()
@@ -178,10 +194,6 @@ class TestSorterIntegration:
     def _batch(self, rng, rows=600, cols=300):
         return rng.uniform(0, 1e6, (rows, cols)).astype(np.float32)
 
-    def test_planner_and_parallel_are_mutually_exclusive(self):
-        with pytest.raises(ValueError):
-            GpuArraySort(parallel="thread", planner="auto")
-
     def test_planner_requires_vectorized(self):
         with pytest.raises(ValueError):
             GpuArraySort(engine="model", planner="fused")
@@ -189,13 +201,13 @@ class TestSorterIntegration:
     def test_output_identical_across_planner_choices(self, rng):
         batch = self._batch(rng)
         baseline = GpuArraySort().sort(batch)
-        # NaN rows split off every non-radix plan, sharded ones included.
+        # NaN rows split off every non-radix plan.
         poisoned = batch.copy()
         poisoned[::7, 3] = np.nan
         config = SortConfig(nan_policy="sort_to_end")
         planners = [
             "fused",
-            StaticPlanner("sharded", workers=2, min_rows_per_worker=1),
+            StaticPlanner("radix"),
             ExecutionPlanner(),
         ]
         for planner in planners:
@@ -262,9 +274,3 @@ class TestSorterIntegration:
         batch = self._batch(rng, rows=130, cols=50)
         result = ResilientSorter(planner="fused").sort(batch)
         assert np.array_equal(result.batch, np.sort(batch, axis=1))
-
-    def test_resilient_rejects_planner_plus_parallel(self):
-        from repro.resilience import ResilientSorter
-
-        with pytest.raises(ValueError):
-            ResilientSorter(planner="fused", parallel="thread")

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.config import SortConfig
 from repro.service import (
+    DEFAULT_BATCH_TARGET_ROWS,
     DeadlineExceededError,
     DynamicBatcher,
     QuarantinedError,
@@ -25,7 +26,6 @@ from repro.service import (
     ServiceStats,
     SortService,
     StatsRecorder,
-    derive_batch_target,
 )
 from repro.service.stats import _occupancy_bucket
 
@@ -157,34 +157,20 @@ class TestDynamicBatcher:
         assert batcher.ready_lane(now=1e9, drain=True) is None
 
 
-class TestDeriveBatchTarget:
-    def test_planner_preference_is_power_of_two(self):
-        class FakePlanner:
-            min_rows_per_worker = 3000
+class TestDefaultBatchTarget:
+    def test_default_target_is_pinned(self):
+        # Every planner="auto" service and every fleet worker batches at
+        # this target; a change here moves their batch sizes.
+        from repro.fleet.fleet import DEFAULT_MAX_WORKER_QUEUE_ROWS
 
-        assert derive_batch_target(FakePlanner()) == 2048
-
-    def test_clamped_to_serviceable_range(self):
-        class Tiny:
-            min_rows_per_worker = 1
-
-        class Huge:
-            min_rows_per_worker = 10**9
-
-        assert derive_batch_target(Tiny()) == 256
-        assert derive_batch_target(Huge()) == 8192
-
-    def test_planner_without_attribute_uses_default(self):
-        target = derive_batch_target(None)
-        assert target >= 256 and (target & (target - 1)) == 0
-
-    def test_auto_planner_target_is_pinned(self):
-        # The auto planner has no fan-out knob, so the service batches at
-        # the default fan-out guard; a change here moves every
-        # planner="auto" service's batch size.
-        from repro.planner import resolve_planner
-
-        assert derive_batch_target(resolve_planner("auto")) == 4096
+        assert DEFAULT_BATCH_TARGET_ROWS == 4096
+        for planner in (None, "auto", "fused"):
+            with SortService(planner=planner) as service:
+                assert service.batch_target_rows == 4096
+        # The fleet clamps the target to its worker queue bound
+        # (4 * the router bound by default), which leaves it untouched.
+        assert min(DEFAULT_BATCH_TARGET_ROWS,
+                   4 * DEFAULT_MAX_WORKER_QUEUE_ROWS) == 4096
 
 
 class TestStats:
