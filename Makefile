@@ -44,13 +44,13 @@ sanitize:
 # The chaos-marked tests run as part of the default suite (they are in
 # tests/), so `make test` already covers the seeded chaos smoke path.
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 test-resilience:
-	$(PYTHON) -m pytest tests/ -m faultinject -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/ -m faultinject -q
 
 test-service:
-	$(PYTHON) -m pytest tests/ -m service -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/ -m service -q
 
 # Seeded small-grid chaos run: the chaos-marked tests plus one smoke
 # cell of the live harness.  Seconds; safe for every CI run.
@@ -62,10 +62,10 @@ chaos-smoke:
 		--check-schema $(SMOKE_DIR)/BENCH_chaos_smoke.json
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 bench-claims:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-disable -s
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-disable -s
 
 # Tiny grid + v2 schema self-check (incl. the planner column); seconds.
 bench-smoke:
@@ -181,18 +181,18 @@ bench-hotpath:
 		--out BENCH_hotpath.json
 
 report:
-	$(PYTHON) -m repro report
+	PYTHONPATH=src $(PYTHON) -m repro report
 
 figures:
-	$(PYTHON) -m repro figures
+	PYTHONPATH=src $(PYTHON) -m repro figures
 
 table1:
-	$(PYTHON) -m repro table1
+	PYTHONPATH=src $(PYTHON) -m repro table1
 
 examples:
 	@for script in examples/*.py; do \
 		echo "=== $$script ==="; \
-		$(PYTHON) $$script || exit 1; \
+		PYTHONPATH=src $(PYTHON) $$script || exit 1; \
 	done
 
 clean:

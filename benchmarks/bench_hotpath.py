@@ -9,7 +9,7 @@ Engines measured per cell
 -------------------------
 ``fused``    serial vectorized, phases 2+3 fused (the default);
 ``unfused``  serial vectorized, paper-faithful separate phases;
-``radix``    the flat non-comparison row sort (``planner="radix"``,
+``radix``    the flat in-place row sort (``planner="radix"``,
              :mod:`repro.core.radix`) — no phase-1 sampling, no bucket
              metadata;
 ``planner``  the ``planner="auto"`` rule,

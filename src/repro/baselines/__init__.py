@@ -4,7 +4,8 @@
   Approach via simulated Thrust;
 * :mod:`~repro.baselines.thrust` — device vectors + ``stable_sort_by_key``
   with radix-sort memory semantics;
-* :mod:`~repro.baselines.radix` — the stable LSD radix sort substrate;
+* :mod:`~repro.baselines.radix` — the stable LSD radix sort substrate and
+  its order-preserving key bijection;
 * :mod:`~repro.baselines.naive` — per-array sequential sorting and the
   NumPy oracle;
 * :mod:`~repro.baselines.segmented` — a modern segmented-sort comparator.
@@ -25,10 +26,10 @@ from .naive import numpy_rowwise_sort, sequential_sort, timed_sequential_sort
 from .oddeven import odd_even_sort_batch, round_count, run_odd_even_on_device
 from .radix import (
     RadixStats,
-    float32_to_sortable_uint32,
+    keys_to_values,
     radix_sort,
     radix_sort_by_key,
-    sortable_uint32_to_float32,
+    sortable_keys,
 )
 from .segmented import segmented_sort, segmented_sort_ragged
 from .sta import StaResult, StaSorter, sta_sort
@@ -43,7 +44,7 @@ __all__ = [
     "bitonic_network",
     "bitonic_sort_batch",
     "compare_exchange_count",
-    "float32_to_sortable_uint32",
+    "keys_to_values",
     "merge_pass_count",
     "merge_sort_batch",
     "numpy_rowwise_sort",
@@ -58,7 +59,7 @@ __all__ = [
     "segmented_sort_ragged",
     "sequence",
     "sequential_sort",
-    "sortable_uint32_to_float32",
+    "sortable_keys",
     "sta_sort",
     "stable_sort_by_key",
     "timed_sequential_sort",

@@ -10,9 +10,13 @@ behaviour both come from radix sort's structure:
   payload — the "almost O(N) more space" the paper cites [26] when it
   argues STA uses ~3x the memory of the data.
 
-Floating-point keys are order-preserved by the standard bit flip
-(:func:`float32_to_sortable_uint32`): flip all bits of negatives, flip
-only the sign bit of non-negatives.  This is exactly what CUB/Thrust do.
+Keys of every fixed-width numeric dtype go through one order-preserving
+bijection, :func:`sortable_keys` (inverted by :func:`keys_to_values`):
+floats flip all bits of negatives and only the sign bit of
+non-negatives, signed ints flip the sign bit.  This is exactly what
+CUB/Thrust do, and it is the one key encoder the STA baseline, simulated
+Thrust and the device kernels of :mod:`repro.baselines.radix_kernels`
+share.
 """
 
 from __future__ import annotations
@@ -23,36 +27,99 @@ from typing import Optional, Tuple
 import numpy as np
 
 __all__ = [
-    "float32_to_sortable_uint32",
-    "sortable_uint32_to_float32",
+    "supports_dtype",
+    "sortable_keys",
+    "keys_to_values",
     "radix_sort",
     "radix_sort_by_key",
     "RadixStats",
 ]
 
 
-def float32_to_sortable_uint32(values: np.ndarray) -> np.ndarray:
-    """Map float32 to uint32 so unsigned order == IEEE total order.
+#: Unsigned key container per item size.
+_UINT_BY_SIZE = {
+    1: np.dtype(np.uint8),
+    2: np.dtype(np.uint16),
+    4: np.dtype(np.uint32),
+    8: np.dtype(np.uint64),
+}
 
-    Negative floats have their bits fully inverted (reversing their
-    descending bit order); non-negatives get the sign bit set (placing
-    them above all negatives).
+
+def supports_dtype(dtype) -> bool:
+    """True when the key bijection (and so the LSD sort) covers ``dtype``.
+
+    Covers bool, signed/unsigned integers, and IEEE floats up to 8
+    bytes — every numeric dtype ``validate_batch`` admits except
+    ``longdouble``, which has no fixed-width key.
+    """
+    try:
+        dtype = np.dtype(dtype)
+    except TypeError:
+        return False
+    return dtype.kind in "biuf" and dtype.itemsize in _UINT_BY_SIZE
+
+
+def _require_supported(dtype) -> np.dtype:
+    dtype = np.dtype(dtype)
+    if not supports_dtype(dtype):
+        raise TypeError(
+            f"radix sort does not support dtype {dtype!r}; supported kinds "
+            "are bool, int, uint, and float with itemsize <= 8"
+        )
+    return dtype
+
+
+def sortable_keys(values: np.ndarray) -> np.ndarray:
+    """Map ``values`` to unsigned keys whose unsigned order == value order.
+
+    * floats — flip all bits of negatives (reversing their descending
+      bit order), set the sign bit of non-negatives (placing them above
+      every negative);
+    * signed ints — XOR the sign bit (a bias by ``2**(bits-1)``);
+    * unsigned ints / bool — already in key order; widened/copied.
+
+    The mapping is a bijection; :func:`keys_to_values` inverts it.  NaN
+    payloads are preserved, so a NaN with the sign bit clear keys above
+    ``+inf`` and one with it set keys below ``-inf``.
 
     >>> v = np.array([-1.5, -0.0, 0.0, 2.0], dtype=np.float32)
-    >>> keys = float32_to_sortable_uint32(v)
-    >>> bool(np.all(np.diff(keys.astype(np.int64)) >= 0))
+    >>> keys = sortable_keys(v)
+    >>> bool(np.all(np.diff(keys.astype(np.int64)) > 0))
     True
     """
-    bits = np.ascontiguousarray(values, dtype=np.float32).view(np.uint32)
-    mask = np.where(bits >> 31 == 1, np.uint32(0xFFFFFFFF), np.uint32(0x80000000))
-    return bits ^ mask
+    values = np.ascontiguousarray(values)
+    dtype = _require_supported(values.dtype)
+    utype = _UINT_BY_SIZE[dtype.itemsize]
+    if dtype.kind == "b":
+        return values.astype(np.uint8)
+    if dtype.kind == "u":
+        return values.copy()
+    bits = values.view(utype)
+    top = utype.type(1 << (8 * dtype.itemsize - 1))
+    if dtype.kind == "i":
+        return bits ^ top
+    all_ones = utype.type(~utype.type(0))
+    sign = (bits >> utype.type(8 * dtype.itemsize - 1)).astype(bool)
+    return bits ^ np.where(sign, all_ones, top)
 
 
-def sortable_uint32_to_float32(keys: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`float32_to_sortable_uint32`."""
-    keys = np.asarray(keys, dtype=np.uint32)
-    mask = np.where(keys >> 31 == 1, np.uint32(0x80000000), np.uint32(0xFFFFFFFF))
-    return (keys ^ mask).view(np.float32)
+def keys_to_values(keys: np.ndarray, dtype) -> np.ndarray:
+    """Inverse of :func:`sortable_keys`: unsigned keys back to ``dtype``."""
+    dtype = _require_supported(dtype)
+    utype = _UINT_BY_SIZE[dtype.itemsize]
+    keys = np.ascontiguousarray(keys, dtype=utype)
+    if dtype.kind == "b":
+        return keys.astype(np.bool_)
+    if dtype.kind == "u":
+        return keys.astype(dtype, copy=True)
+    top = utype.type(1 << (8 * dtype.itemsize - 1))
+    if dtype.kind == "i":
+        return (keys ^ top).view(dtype)
+    # Keys with the top bit set were non-negative floats (sign bit was
+    # flipped on); the rest were negatives (all bits were flipped).
+    all_ones = utype.type(~utype.type(0))
+    sign = (keys >> utype.type(8 * dtype.itemsize - 1)).astype(bool)
+    return (keys ^ np.where(sign, top, all_ones)).view(dtype)
 
 
 @dataclasses.dataclass
@@ -65,28 +132,6 @@ class RadixStats:
     scratch_bytes: int = 0
     #: Total element reads+writes across all passes (keys and payload).
     element_moves: int = 0
-
-
-def _encode_keys(keys: np.ndarray) -> Tuple[np.ndarray, str]:
-    """Normalize keys to uint for digit extraction; remember the kind."""
-    keys = np.asarray(keys)
-    if keys.dtype == np.float32:
-        return float32_to_sortable_uint32(keys), "float32"
-    if keys.dtype == np.uint32:
-        return keys.copy(), "uint32"
-    if keys.dtype == np.int32:
-        return (keys.astype(np.int64) + 2**31).astype(np.uint32), "int32"
-    if keys.dtype == np.uint64:
-        return keys.copy(), "uint64"
-    raise TypeError(f"unsupported radix key dtype {keys.dtype}")
-
-
-def _decode_keys(keys: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "float32":
-        return sortable_uint32_to_float32(keys)
-    if kind == "int32":
-        return (keys.astype(np.int64) - 2**31).astype(np.int32)
-    return keys
 
 
 def radix_sort_by_key(
@@ -109,7 +154,8 @@ def radix_sort_by_key(
     """
     if not 1 <= digit_bits <= 16:
         raise ValueError("digit_bits must be in [1, 16]")
-    enc, kind = _encode_keys(keys)
+    keys = np.asarray(keys)
+    enc = sortable_keys(keys)
     vals = None if values is None else np.asarray(values).copy()
     if vals is not None and vals.shape[0] != enc.shape[0]:
         raise ValueError(
@@ -134,7 +180,7 @@ def radix_sort_by_key(
         if n == 0:
             break
         shift = pass_idx * digit_bits
-        digits = (enc >> np.uint32(shift)).astype(np.int64) & mask
+        digits = (enc >> enc.dtype.type(shift)).astype(np.int64) & mask
         # count + exclusive scan (the GPU histogram/scan kernels); the
         # stable scatter destination of element i is
         # starts[digit_i] + (stable rank of i within its digit), which is
@@ -158,7 +204,7 @@ def radix_sort_by_key(
             if vals is not None:
                 moves += 2 * n
             stats.element_moves += moves
-    return _decode_keys(enc, kind), vals
+    return keys_to_values(enc, keys.dtype), vals
 
 
 def radix_sort(keys: np.ndarray, *, digit_bits: int = 8,

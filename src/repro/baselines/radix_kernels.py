@@ -28,7 +28,7 @@ from typing import Tuple
 import numpy as np
 
 from ..gpusim import GpuDevice, PipelineReport
-from .radix import float32_to_sortable_uint32, sortable_uint32_to_float32
+from .radix import keys_to_values, sortable_keys
 
 __all__ = ["run_radix_pass_on_device", "run_radix_sort_on_device"]
 
@@ -103,8 +103,15 @@ def run_radix_pass_on_device(
     grid: int = 2,
     block: int = 32,
 ) -> Tuple[np.ndarray, np.ndarray, PipelineReport]:
-    """One LSD pass (histogram/scan/scatter) on the simulated device."""
-    keys = np.ascontiguousarray(keys, dtype=np.uint32)
+    """One LSD pass (histogram/scan/scatter) on the simulated device.
+
+    ``keys`` are unsigned sortable keys (see
+    :func:`~repro.baselines.radix.sortable_keys`); other integer kinds
+    are read as ``uint32``.
+    """
+    keys = np.ascontiguousarray(keys)
+    if keys.dtype.kind != "u":
+        keys = keys.astype(np.uint32)
     n = keys.size
     radix = 1 << digit_bits
     mask = radix - 1
@@ -127,7 +134,7 @@ def run_radix_pass_on_device(
             vals if has_vals else np.zeros(1, dtype=np.int32),
             name="radix_vals",
         )
-        d_out_keys = _alloc(device.memory.alloc, n, np.uint32,
+        d_out_keys = _alloc(device.memory.alloc, n, keys.dtype,
                             name="radix_out_keys")
         d_out_vals = _alloc(device.memory.alloc,
                             max(n, 1) if has_vals else 1,
@@ -172,19 +179,17 @@ def run_radix_sort_on_device(
 ) -> Tuple[np.ndarray, np.ndarray, PipelineReport]:
     """Full stable LSD radix sort on the simulated device.
 
-    Float32 keys are bit-mapped through
-    :func:`~repro.baselines.radix.float32_to_sortable_uint32` and mapped
-    back, exactly as CUB/Thrust do.
+    Keys of any dtype :func:`~repro.baselines.radix.sortable_keys`
+    covers are bit-mapped to unsigned keys, sorted in
+    ``ceil(key_bits / digit_bits)`` passes, and mapped back, exactly as
+    CUB/Thrust do.
     """
     keys = np.asarray(keys)
-    as_float = keys.dtype == np.float32
-    enc = float32_to_sortable_uint32(keys) if as_float else np.ascontiguousarray(
-        keys, dtype=np.uint32
-    )
+    enc = sortable_keys(keys)
     vals = None if values is None else np.ascontiguousarray(values)
 
     combined = PipelineReport()
-    passes = -(-32 // digit_bits)
+    passes = -(-8 * enc.dtype.itemsize // digit_bits)
     for pass_idx in range(passes):
         enc, vals, pipeline = run_radix_pass_on_device(
             device, enc, vals, shift=pass_idx * digit_bits,
@@ -192,5 +197,4 @@ def run_radix_sort_on_device(
         )
         for launch in pipeline.launches:
             combined.add(launch)
-    out = sortable_uint32_to_float32(enc) if as_float else enc
-    return out, vals, combined
+    return keys_to_values(enc, keys.dtype), vals, combined

@@ -24,8 +24,8 @@ from typing import Tuple
 import numpy as np
 
 from ..gpusim import GpuDevice, PipelineReport
-from .radix import float32_to_sortable_uint32, sortable_uint32_to_float32
-from .radix_kernels import run_radix_pass_on_device
+from .radix import keys_to_values, sortable_keys
+from .radix_kernels import run_radix_sort_on_device
 
 __all__ = ["tagging_kernel", "run_sta_on_device"]
 
@@ -43,20 +43,6 @@ def tagging_kernel(ctx, shared, d_tags, N, n):
         yield ctx.alu(1)  # i // n
         yield ctx.gstore(d_tags, i, i // n)
         i += total
-
-
-def _device_sort_by_key(device, keys, vals, pipeline, *, digit_bits=8):
-    """Full LSD radix sort of (keys, vals) accumulating into pipeline."""
-    enc = keys
-    passes = -(-32 // digit_bits)
-    for pass_idx in range(passes):
-        enc, vals, pass_pipeline = run_radix_pass_on_device(
-            device, enc, vals, shift=pass_idx * digit_bits,
-            digit_bits=digit_bits,
-        )
-        for launch in pass_pipeline.launches:
-            pipeline.add(launch)
-    return enc, vals
 
 
 def run_sta_on_device(
@@ -84,21 +70,25 @@ def run_sta_on_device(
         tags = d_tags.copy_to_host()[:M]
     finally:
         device.memory.free(d_tags)
-    values_enc = float32_to_sortable_uint32(batch.ravel())
+    # Values travel as sortable keys from here on, so every sort below
+    # is a plain unsigned sort and NaN payloads survive bit for bit.
+    values_enc = sortable_keys(batch.ravel())
+
+    def sort_by_key(keys, vals):
+        keys, vals, report = run_radix_sort_on_device(
+            device, keys, vals, digit_bits=digit_bits
+        )
+        for launch in report.launches:
+            pipeline.add(launch)
+        return keys, vals
 
     # Step III (redundant): stable sort by tags, values ride along.
     if include_redundant_presort:
-        tags, values_enc = _device_sort_by_key(
-            device, tags, values_enc, pipeline, digit_bits=digit_bits
-        )
+        tags, values_enc = sort_by_key(tags, values_enc)
     # Step IV: stable sort by values, tags ride along.
-    values_enc, tags = _device_sort_by_key(
-        device, values_enc, tags, pipeline, digit_bits=digit_bits
-    )
+    values_enc, tags = sort_by_key(values_enc, tags)
     # Step V: stable sort by tags restores arrays, values stay ordered.
-    tags, values_enc = _device_sort_by_key(
-        device, tags, values_enc, pipeline, digit_bits=digit_bits
-    )
+    tags, values_enc = sort_by_key(tags, values_enc)
 
-    out = sortable_uint32_to_float32(values_enc).reshape(N, n)
+    out = keys_to_values(values_enc, np.float32).reshape(N, n)
     return out, pipeline

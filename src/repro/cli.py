@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rows-per-request mix as ROWS:WEIGHT pairs",
     )
     p_srv.add_argument("--batch-target", type=int, default=None,
-                       help="coalesce target in rows (default: planner-derived)")
+                       help="coalesce target in rows (default 4096)")
     p_srv.add_argument("--linger-ms", type=float, default=2.0,
                        help="max time the oldest queued request waits for "
                             "batch-mates")

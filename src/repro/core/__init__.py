@@ -54,13 +54,7 @@ from .splitters import (
     select_splitters,
     splitter_pick_indices,
 )
-from .radix import (
-    RADIX_STRATEGIES,
-    RadixInfo,
-    keys_to_values,
-    radix_sort_rows,
-    sortable_keys,
-)
+from .radix import radix_sort_rows
 from .workspace import ScratchArena, WorkspaceStats
 from .validation import (
     ValidationFailure,
@@ -91,11 +85,7 @@ __all__ = [
     "tune_config",
     "GpuArraySort",
     "INDEX_PLAN_CACHE_MAXSIZE",
-    "RADIX_STRATEGIES",
-    "RadixInfo",
-    "keys_to_values",
     "radix_sort_rows",
-    "sortable_keys",
     "ScratchArena",
     "SortConfig",
     "SortResult",

@@ -222,7 +222,7 @@ class GpuArraySort:
         ``inplace=True`` caller's batch is untouched); ``"sort_to_end"``
         gives ``np.sort`` order, NaNs after every finite value and +inf.
         A ``"radix"`` plan sorts the batch whole — its row sort realizes
-        that order in key space, so no per-row NaN probe runs.  Every
+        that order itself, so no per-row NaN probe runs.  Every
         other engine splits NaN-carrying rows off to ``np.sort`` and
         runs the NaN-free rows through the pipeline; ``splitters``/
         ``buckets`` on the result then describe only those rows.  A
@@ -420,19 +420,16 @@ class GpuArraySort:
         return result
 
     def _sort_radix(self, work: np.ndarray) -> SortResult:
-        """The planner's ``"radix"`` engine: flat non-comparison row sort.
+        """The planner's ``"radix"`` engine: flat in-place row sort.
 
         No phase-1 sampling, no bucket metadata — the whole batch is
         sorted through :func:`repro.core.radix.radix_sort_rows`, which
-        honors ``nan_policy="sort_to_end"`` via the canonical-NaN key
-        mapping and ``"raise"`` via one ``min()`` probe that runs before
-        any write.  ``splitters``/``buckets`` are ``None`` on the
+        honors ``nan_policy="sort_to_end"`` as ``np.sort`` does and
+        ``"raise"`` via one ``min()`` probe that runs before any write.  ``splitters``/``buckets`` are ``None`` on the
         result: this engine never forms buckets.
         """
         t0 = time.perf_counter()
-        radix_sort_rows(
-            work, nan_policy=self.config.nan_policy, workspace=self.workspace
-        )
+        radix_sort_rows(work, nan_policy=self.config.nan_policy)
         return SortResult(
             batch=work,
             phase_seconds={"radix_rowsort": time.perf_counter() - t0},

@@ -6,7 +6,7 @@ unbounded *stream*, not a preassembled matrix.  :class:`StreamingSorter`
 adapts the batch algorithm to that shape:
 
 * arrays are ``push()``-ed one at a time (or in slabs) as acquired;
-* a staging buffer accumulates until a device-sized batch is full, then
+* a staging buffer accumulates until a batch of ``batch_arrays`` is full, then
   one three-phase sort runs and the sorted batch is emitted to the
   consumer callback (or an internal queue);
 * ``flush()`` drains the partial tail batch at end of acquisition, and
@@ -107,9 +107,9 @@ class StreamingSorter:
         Element count of every arriving array (fixed per session, like a
         configured acquisition method).
     batch_arrays:
-        Arrays per sorted batch.  ``None`` sizes it from the device's
-        memory model (the largest batch the device holds, halved for
-        double buffering).
+        Arrays per sorted batch (required): the staging buffer holds
+        this many arrays.  Size it to a host memory budget with
+        :func:`repro.outofcore.plan_budget`.
     on_batch:
         Callback receiving each sorted ``(B, n)`` matrix.  When omitted,
         sorted batches are collected on ``results``.  Ids of emitted
@@ -142,9 +142,9 @@ class StreamingSorter:
         self,
         array_size: int,
         *,
+        batch_arrays: int,
         config: SortConfig = DEFAULT_CONFIG,
         device: DeviceSpec = K40C,
-        batch_arrays: Optional[int] = None,
         on_batch: Optional[Callable[[np.ndarray], None]] = None,
         dtype=None,
         sorter=None,
@@ -158,14 +158,6 @@ class StreamingSorter:
         self.config = config
         self.device = device
         self.dtype = np.dtype(dtype if dtype is not None else config.dtype)
-        if batch_arrays is None:
-            from .pipeline import plan_chunks
-
-            plan = plan_chunks(
-                2**62, array_size, device=device, config=config,
-                double_buffered=True,
-            )
-            batch_arrays = plan.arrays_per_chunk
         if batch_arrays < 1:
             raise ValueError("batch_arrays must be >= 1")
         self.batch_arrays = int(batch_arrays)

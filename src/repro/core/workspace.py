@@ -132,7 +132,11 @@ class ScratchArena:
     def close(self) -> None:
         """Release every pooled buffer.
 
-        Idempotent.  After closing, ``get`` raises.
+        Idempotent.  After closing, ``get`` raises.  An arena that is
+        never closed frees its pools when it is collected; there is no
+        finalizer, because one would take this arena's (possibly
+        instrumented) lock from whatever thread the GC happens to run
+        on, and that thread may already hold the sanitizer's own lock.
         """
         with self._lock:
             if self._closed:
@@ -140,12 +144,6 @@ class ScratchArena:
             self._pools.clear()
             self.stats.bytes_held = 0
             self._closed = True
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:  # statan: ignore[silent-except] -- GC-time close; raising from __del__ aborts interpreter shutdown
-            pass
 
     def __enter__(self) -> "ScratchArena":
         return self

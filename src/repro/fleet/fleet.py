@@ -77,7 +77,11 @@ from ..service.errors import (
     RejectedError,
     ServiceClosedError,
 )
-from ..service.service import DEFAULT_BATCH_TARGET_ROWS, DEFAULT_RETRY_JITTER
+from ..service.service import (
+    DEFAULT_BATCH_TARGET_ROWS,
+    DEFAULT_RETRY_JITTER,
+    validate_request,
+)
 from ..service.stats import StatsRecorder
 from .router import (
     DEFAULT_SPILL_FACTOR,
@@ -440,29 +444,9 @@ class SortFleet:
         :meth:`close`.  A fleet whose workers have *all* died rejects
         with ``reason="no-workers"`` (the page-an-operator signal).
         """
-        staged = np.asarray(arrays)
-        single = staged.ndim == 1
-        if single:
-            staged = staged.reshape(1, -1)
-        if staged.ndim != 2:
-            raise ValueError(
-                f"expected one array or a (k, n) stack, got shape "
-                f"{np.asarray(arrays).shape}"
-            )
-        if staged.shape[0] == 0 or staged.shape[1] == 0:
-            raise ValueError(
-                f"arrays must be non-empty, got shape {staged.shape}"
-            )
-        if staged.dtype.kind not in "biuf":
-            raise ValueError(
-                f"arrays dtype must be numeric, got {staged.dtype!r}"
-            )
-        if deadline is not None and deadline < 0:
-            raise ValueError(f"deadline must be >= 0 seconds, got {deadline}")
-        if not isinstance(tenant, str) or not tenant:
-            raise ValueError(f"tenant must be a non-empty string, got {tenant!r}")
-        if deadline is None and self.default_deadline_ms is not None:
-            deadline = self.default_deadline_ms / 1e3
+        staged, single, deadline = validate_request(
+            arrays, deadline, tenant, self.default_deadline_ms
+        )
 
         rows, row_len = staged.shape
         lane_key = (row_len, staged.dtype.str)

@@ -19,6 +19,8 @@ so warp access patterns map onto realistic 128-byte transaction tiles.
 from __future__ import annotations
 
 import dataclasses
+import mmap
+import sys
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -183,6 +185,26 @@ class DeviceArray:
         )
 
 
+def _zeroed_backing(nbytes: int) -> np.ndarray:
+    """A zero-filled byte arena whose pages are committed only when touched.
+
+    A modeled device's global memory can exceed the host's RAM (the
+    K40c's 8.2 GiB usable against a smaller host).  An anonymous private
+    ``MAP_NORESERVE`` mapping reserves address space only, so a
+    simulated device costs the host what its kernels actually touch.
+    Where the mapping is unavailable, this falls back to ``np.zeros``.
+    """
+    # Python < 3.13 exposes no MAP_NORESERVE; 0x4000 is Linux's value.
+    noreserve = getattr(
+        mmap, "MAP_NORESERVE", 0x4000 if sys.platform.startswith("linux") else 0
+    )
+    try:
+        flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | noreserve
+        return np.frombuffer(mmap.mmap(-1, nbytes, flags=flags), dtype=np.uint8)
+    except (AttributeError, OSError, OverflowError, ValueError):
+        return np.zeros(nbytes, dtype=np.uint8)
+
+
 class GlobalMemory:
     """The device's global-memory arena with a first-fit allocator.
 
@@ -196,7 +218,7 @@ class GlobalMemory:
         total = int(capacity_bytes if capacity_bytes is not None else device.usable_global_mem_bytes)
         if total <= 0:
             raise AllocationError("global memory capacity must be positive")
-        self._backing = np.zeros(total, dtype=np.uint8)
+        self._backing = _zeroed_backing(total)
         self.stats = MemoryStats(total_bytes=total)
         #: (offset, size) spans currently free, sorted by offset.
         self._free_spans: List[Tuple[int, int]] = [(0, total)]

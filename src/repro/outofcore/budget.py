@@ -13,7 +13,7 @@ then verifies against real allocation behaviour:
   actually costs the hot path — the streaming staging copy, the
   sorter's :class:`~repro.core.workspace.ScratchArena` work buffer,
   phase-1 sample/splitter staging, fused-path metadata, and the
-  per-engine extras (the radix engine double-buffers its key space);
+  per-engine headroom (:data:`ENGINE_EXTRA_COPIES`);
 * :func:`plan_budget` derives the chunk schedule: the largest chunk row
   count whose modeled working set fits the budget, and how many chunks
   that takes for the whole batch.
@@ -55,8 +55,9 @@ SAFETY_FACTOR = 1.25
 #: staging + work pair every path pays:
 #:
 #: * ``serial`` — the fused row sort works in place: no extra copy;
-#: * ``radix`` — the LSD path double-buffers the sortable-key space
-#:   (two more payloads in the worst ``strategy="lsd"`` case);
+#: * ``radix`` — two payloads of headroom.  The row sort itself is
+#:   NumPy's in-place sort; 2.0 is the headroom the spill schedule was
+#:   measured with, and re-deriving it is a separate, measured change;
 #: * ``auto`` — the worst case among the engines.  That is ``radix``,
 #:   which ``planner="auto"`` picks for every dtype, and it also covers
 #:   a custom planner that picks any engine.

@@ -80,6 +80,36 @@ DEFAULT_BATCH_TARGET_ROWS = 4096
 DEFAULT_RETRY_JITTER = 0.25
 
 
+def validate_request(arrays, deadline, tenant, default_deadline_ms):
+    """Check one ``submit()`` request; return ``(staged, single, deadline)``.
+
+    ``staged`` is the request as a ``(k, n)`` stack, ``single`` says it
+    arrived as one 1-D array, and ``deadline`` falls back to
+    ``default_deadline_ms`` (in seconds).  Shared by
+    :class:`SortService` and :class:`~repro.fleet.SortFleet`, so both
+    front-ends reject the same inputs with the same errors.
+    """
+    staged = np.asarray(arrays)
+    single = staged.ndim == 1
+    if single:
+        staged = staged.reshape(1, -1)
+    if staged.ndim != 2:
+        raise ValueError(
+            f"expected one array or a (k, n) stack, got shape {staged.shape}"
+        )
+    if staged.shape[0] == 0 or staged.shape[1] == 0:
+        raise ValueError(f"arrays must be non-empty, got shape {staged.shape}")
+    if staged.dtype.kind not in "biuf":
+        raise ValueError(f"arrays dtype must be numeric, got {staged.dtype!r}")
+    if deadline is not None and deadline < 0:
+        raise ValueError(f"deadline must be >= 0 seconds, got {deadline}")
+    if not isinstance(tenant, str) or not tenant:
+        raise ValueError(f"tenant must be a non-empty string, got {tenant!r}")
+    if deadline is None and default_deadline_ms is not None:
+        deadline = default_deadline_ms / 1e3
+    return staged, single, deadline
+
+
 @dataclasses.dataclass(frozen=True)
 class TenantQuota:
     """Admission bounds for one tenant.
@@ -314,29 +344,9 @@ class SortService:
         ``retry_after`` and resubmit; ``exc.reason`` tells which bound
         was hit) and :class:`ServiceClosedError` after :meth:`close`.
         """
-        staged = np.asarray(arrays)
-        single = staged.ndim == 1
-        if single:
-            staged = staged.reshape(1, -1)
-        if staged.ndim != 2:
-            raise ValueError(
-                f"expected one array or a (k, n) stack, got shape "
-                f"{np.asarray(arrays).shape}"
-            )
-        if staged.shape[0] == 0 or staged.shape[1] == 0:
-            raise ValueError(
-                f"arrays must be non-empty, got shape {staged.shape}"
-            )
-        if staged.dtype.kind not in "biuf":
-            raise ValueError(
-                f"arrays dtype must be numeric, got {staged.dtype!r}"
-            )
-        if deadline is not None and deadline < 0:
-            raise ValueError(f"deadline must be >= 0 seconds, got {deadline}")
-        if not isinstance(tenant, str) or not tenant:
-            raise ValueError(f"tenant must be a non-empty string, got {tenant!r}")
-        if deadline is None and self.default_deadline_ms is not None:
-            deadline = self.default_deadline_ms / 1e3
+        staged, single, deadline = validate_request(
+            arrays, deadline, tenant, self.default_deadline_ms
+        )
 
         future: "Future[np.ndarray]" = Future()
         with self._wakeup:

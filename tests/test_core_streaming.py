@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.streaming import StreamingSorter
-from repro.gpusim.device import MICRO
 from repro.workloads import uniform_arrays
 
 
@@ -64,11 +63,6 @@ class TestStreamingSorter:
         with pytest.raises(ValueError):
             sorter.push(np.zeros(11))
 
-    def test_auto_batch_size_from_device(self):
-        sorter = StreamingSorter(100, device=MICRO)
-        # MICRO usable memory halved for double buffering, / bytes-per-array
-        assert 1 <= sorter.batch_arrays < 100_000
-
     def test_stats_accounting(self):
         sorter = StreamingSorter(50, batch_arrays=25)
         data = uniform_arrays(60, 50, seed=5)
@@ -96,7 +90,7 @@ class TestStreamingSorter:
 
     def test_rejects_bad_constructor_args(self):
         with pytest.raises(ValueError):
-            StreamingSorter(0)
+            StreamingSorter(0, batch_arrays=4)
         with pytest.raises(ValueError):
             StreamingSorter(10, batch_arrays=0)
 

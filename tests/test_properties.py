@@ -18,11 +18,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.baselines.radix import (
-    float32_to_sortable_uint32,
-    radix_sort_by_key,
-    sortable_uint32_to_float32,
-)
+from repro.baselines.radix import keys_to_values, radix_sort_by_key, sortable_keys
 from repro.baselines.segmented import segmented_sort
 from repro.baselines.sta import sta_sort
 from repro.core import SortConfig, sort_arrays
@@ -132,7 +128,7 @@ class TestRadixProperties:
                              elements=finite_f32))
     @settings(max_examples=60)
     def test_key_encoding_is_order_embedding(self, values):
-        keys = float32_to_sortable_uint32(values).astype(np.int64)
+        keys = sortable_keys(values).astype(np.int64)
         order_v = np.argsort(values, kind="stable")
         order_k = np.argsort(keys, kind="stable")
         assert np.array_equal(values[order_v], values[order_k])
@@ -141,7 +137,7 @@ class TestRadixProperties:
                              elements=finite_f32))
     @settings(max_examples=40)
     def test_key_encoding_roundtrip(self, values):
-        back = sortable_uint32_to_float32(float32_to_sortable_uint32(values))
+        back = keys_to_values(sortable_keys(values), np.float32)
         assert np.array_equal(back, values)
 
     @given(

@@ -241,6 +241,44 @@ class TestLockOrder:
                 with a:
                     pass
 
+    def test_gc_of_arena_inside_sanitizer_bookkeeping_does_not_deadlock(
+        self, sanitized
+    ):
+        # The GC can run on any thread at any allocation, including one
+        # that holds an instrumented lock and then the sanitizer's own
+        # meta lock.  Collecting an arena there must not take the
+        # arena's instrumented lock (which would record a lock-order
+        # edge under the meta lock the thread already holds).
+        import gc
+
+        from repro.core.workspace import ScratchArena
+
+        gc.collect()  # start from no pending garbage
+        outer = rt.make_lock("_Outer._lock")
+        done = threading.Event()
+
+        def collect_while_holding_meta_lock():
+            arena = ScratchArena()
+            arena.get("work", (4, 4), np.float32)
+            arena.cycle = arena  # only the cyclic GC can free it
+            with outer, rt._STATE.meta_lock:
+                del arena
+                gc.collect()
+            done.set()
+
+        thread = threading.Thread(
+            target=collect_while_holding_meta_lock, daemon=True
+        )
+        thread.start()
+        finished = done.wait(5.0)
+        if not finished:
+            # A plain Lock may be released by any thread: unwedge the
+            # deadlocked one so fixture teardown (which takes the meta
+            # lock) cannot hang the suite.
+            rt._STATE.meta_lock.release()
+        assert finished, "GC of an arena deadlocked the sanitizer"
+        thread.join(5.0)
+
     def test_rlock_reentry_adds_no_edges(self, sanitized):
         lock = rt.make_rlock("Reentrant.L")
         with lock:
