@@ -34,6 +34,14 @@ from .validation import assert_batch_sorted
 
 __all__ = ["GpuArraySort", "SortResult", "sort_arrays", "validate_batch"]
 
+#: Largest batch a ``radix`` plan sorts as a fresh copy.  Below glibc's
+#: 32 MiB ceiling on its mmap threshold a freed copy's pages return to
+#: the heap and the next copy reuses them; above it every copy is a new
+#: mapping whose pages fault in on each call, so larger batches stage
+#: through the arena as the fused path does (100000x1000 f32: ~340 ms
+#: staged against ~455 ms as a fresh copy on a 2-CPU x86 host).
+_FRESH_COPY_MAX_BYTES = 32 << 20
+
 
 def validate_batch(batch) -> np.ndarray:
     """Boundary validation shared by :meth:`GpuArraySort.sort`/``argsort``.
@@ -70,7 +78,11 @@ class SortResult:
     ``scratch=True`` marks a result whose ``batch`` (and metadata
     arrays) live in the sorter's :class:`~repro.core.workspace.ScratchArena`
     — valid until the sorter's **next** ``sort`` call.  Callers that
-    retain such a result across sorts must copy what they keep.
+    retain such a result across sorts must copy what they keep.  A
+    ``radix`` plan's result under 32 MiB is a fresh array
+    (``scratch=False``) that no later sort touches; the fused path,
+    unplanned ``workspace=`` sorters and larger radix batches stage
+    through the arena.
     """
 
     batch: np.ndarray
@@ -113,13 +125,18 @@ class GpuArraySort:
         the flat ``"radix"`` row sort for every dtype; ``"fused"`` /
         ``"radix"`` force one engine via
         :class:`~repro.planner.StaticPlanner`; a planner instance passes
-        through.  Implies a scratch arena (see ``workspace``).
+        through.  A planner implies a scratch arena (see
+        ``workspace``) for ``serial`` (fused) plans and batches of
+        32 MiB or more: a smaller ``radix`` plan sorts one fresh copy
+        of the batch (or the batch itself with ``inplace=True``) and
+        never touches the arena.
     workspace:
         Scratch arena for zero-allocation steady-state sorting:
         ``None`` + no planner keeps legacy per-call allocations; a
         :class:`~repro.core.workspace.ScratchArena` instance (or
-        ``True`` for a private one) pools the work copy, phase-1
-        staging, and fused metadata.  Arena-backed results are marked
+        ``True`` for a private one) pools the work copy (of fused plans
+        and of radix batches of 32 MiB or more), phase-1 staging, and
+        fused metadata.  Arena-backed results are marked
         ``scratch=True`` — valid until this sorter's next ``sort``.
     memory_budget:
         Working-memory ceiling (bytes, or a size string like ``"512M"``)
@@ -175,7 +192,8 @@ class GpuArraySort:
             )
         elif self._planner is not None:
             # A planner implies hot-path usage: give the sorter its own
-            # arena so steady-state traffic sorts allocation-free.
+            # arena so steady-state fused plans and large batches sort
+            # allocation-free (the pool fills lazily).
             from .workspace import ScratchArena
 
             self.workspace = ScratchArena()
@@ -238,9 +256,19 @@ class GpuArraySort:
                 batch, inplace=inplace, descending=descending
             )
 
+        plan = None
+        if self._planner is not None and self.sampler is None:
+            plan = self._planner.plan(
+                batch.shape[0], batch.shape[1], batch.dtype, config=self.config
+            )
+
         scratch = False
         if inplace:
             work = batch
+        elif (plan is not None and plan.engine == "radix"
+              and batch.nbytes < _FRESH_COPY_MAX_BYTES):
+            # The row sort needs no staging: one owned copy, never reused.
+            work = batch.copy()
         elif self.workspace is not None:
             work = self.workspace.get("work", batch.shape, batch.dtype)
             np.copyto(work, batch)
@@ -249,8 +277,8 @@ class GpuArraySort:
             work = batch.astype(batch.dtype, copy=True)
         reference = batch.copy() if self.verify else None
 
-        if self._planner is not None and self.sampler is None:
-            result = self._sort_planned(work)
+        if plan is not None:
+            result = self._sort_planned(work, plan)
         else:
             result = self._split_nan_rows(work, self._dispatch)
 
@@ -397,17 +425,14 @@ class GpuArraySort:
             },
         )
 
-    def _sort_planned(self, work: np.ndarray) -> SortResult:
-        """Plan one batch, execute the plan, and report back.
+    def _sort_planned(self, work: np.ndarray, plan) -> SortResult:
+        """Execute one batch's plan and report back.
 
         Radix plans sort the whole batch, NaN rows included; serial
         plans run the regular (arena-backed) fused path behind the
         NaN-row split.  Either way the measured wall time feeds
         ``planner.observe``.
         """
-        plan = self._planner.plan(
-            work.shape[0], work.shape[1], work.dtype, config=self.config
-        )
         t0 = time.perf_counter()
         if plan.engine == "radix":
             result = self._sort_radix(work)

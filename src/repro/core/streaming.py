@@ -127,7 +127,10 @@ class StreamingSorter:
         steady-state emission is allocation-free: ``on_batch`` consumers
         receive a zero-copy view **valid until the next emission** (copy
         to retain), while batches collected on ``results`` are copied
-        out of the arena so the list stays stable.
+        out of the arena so the list stays stable.  A ``radix`` plan
+        (``planner="auto"``) on a batch under 32 MiB never stages through
+        the arena: each emission is a fresh array, kept on ``results``
+        without a copy.
     dead_letter_capacity:
         Bound on the lazily created dead-letter queue.  ``-1`` (default)
         applies :data:`repro.resilience.quarantine.DEFAULT_DEAD_LETTER_CAPACITY`;

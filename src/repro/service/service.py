@@ -660,11 +660,13 @@ class SortService:
                     )
                 )
                 return
-        # Retained results are copied out of the batch: whether or not
-        # the sorter's arena backs it (result.scratch), the batch buffer
-        # is serving-side staging the next dispatch will reuse.
+        # Retained results are copied out of the batch: a fused backend's
+        # batch lives in its arena (result.scratch), which the next
+        # dispatch reuses, and a copy never pins the whole batch.
         # copy=False callers keep the zero-copy view, valid until the
-        # service's next dispatch — the StreamingSorter on_batch contract.
+        # service's next dispatch — the StreamingSorter on_batch contract
+        # (a radix plan's batch under 32 MiB is fresh per dispatch, which
+        # is stronger).
         payload = np.array(rows, copy=True) if request.copy else rows  # statan: scratch-view
         if not request.copy and _sanitizer.enabled():
             payload = _sanitizer.track_view(

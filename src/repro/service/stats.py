@@ -119,8 +119,9 @@ class _TenantCounters:
             self._latencies[self._latency_pos] = ms
             self._latency_pos = (self._latency_pos + 1) % self._latency_window
 
-    def snapshot(self) -> TenantStats:
-        return TenantStats(
+    def tallies(self) -> Dict[str, object]:
+        """Every :class:`TenantStats` field but ``latency_ms``."""
+        return dict(
             tenant=self.tenant,
             admitted=self.admitted,
             rows_admitted=self.rows_admitted,
@@ -131,8 +132,11 @@ class _TenantCounters:
             completed=self.completed,
             failed=self.failed,
             quarantined_rows=self.quarantined_rows,
-            latency_ms=_percentiles(self._latencies),
         )
+
+    def latency_window(self) -> List[float]:
+        """A copy of the latency ring, for percentiles outside the lock."""
+        return list(self._latencies)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -315,12 +319,10 @@ class StatsRecorder:
             return self.ema_rows_per_s
 
     # -- snapshot ----------------------------------------------------------
-    def _latency_percentiles_locked(self) -> Dict[str, float]:
-        return _percentiles(self._latencies)
-
     def latency_percentiles(self) -> Dict[str, float]:
         with self._lock:
-            return self._latency_percentiles_locked()
+            window = list(self._latencies)
+        return _percentiles(window)
 
     def snapshot(
         self,
@@ -331,11 +333,14 @@ class StatsRecorder:
     ) -> ServiceStats:
         """One consistent snapshot: every field read under the same lock.
 
+        The lock covers copying the counters and latency windows;
+        ``np.percentile`` runs on the copies after it is released, so
+        the completion path's :meth:`record_latency` never waits on it.
         ``planner_engine_counts`` is point-in-time state owned by the
         backend's planner (its own lock), passed through verbatim.
         """
         with self._lock:
-            return ServiceStats(
+            counters = dict(
                 submitted=self.submitted,
                 completed=self.completed,
                 rejected=self.rejected,
@@ -344,13 +349,23 @@ class StatsRecorder:
                 failed=self.failed,
                 batches=self.batches,
                 batched_rows=self.batched_rows,
-                queue_depth_requests=int(queue_requests),
-                queue_depth_rows=int(queue_rows),
                 occupancy_histogram=dict(self.occupancy),
-                latency_ms=self._latency_percentiles_locked(),
-                tenants={
-                    name: counters.snapshot()
-                    for name, counters in sorted(self._tenants.items())
-                },
-                planner_engine_counts=planner_engine_counts or {},
             )
+            window = list(self._latencies)
+            tenants = [
+                (tenant.tallies(), tenant.latency_window())
+                for _, tenant in sorted(self._tenants.items())
+            ]
+        return ServiceStats(
+            **counters,
+            queue_depth_requests=int(queue_requests),
+            queue_depth_rows=int(queue_rows),
+            latency_ms=_percentiles(window),
+            tenants={
+                tallies["tenant"]: TenantStats(
+                    **tallies, latency_ms=_percentiles(tenant_window)
+                )
+                for tallies, tenant_window in tenants
+            },
+            planner_engine_counts=planner_engine_counts or {},
+        )

@@ -190,6 +190,34 @@ class TestStats:
         assert pct["max"] == pytest.approx(9.0)
         assert pct["p50"] >= 6.0
 
+    @pytest.mark.parametrize("completions", [5, 1500])  # partly filled, wrapped
+    def test_snapshot_percentiles_match_np_percentile(self, completions):
+        recorder = StatsRecorder(latency_window=1024, tenant_latency_window=256)
+        rng = np.random.default_rng(completions)
+        seconds = rng.exponential(2e-3, completions)
+        tenants = np.array(["a", "b"])[rng.integers(0, 2, completions)]
+        for value, tenant in zip(seconds, tenants):
+            recorder.record_latency(float(value), tenant=str(tenant))
+
+        def expected(latencies_s, window):
+            recent = np.array([s * 1e3 for s in latencies_s[-window:]])
+            p50, p95, p99 = np.percentile(recent, [50.0, 95.0, 99.0])
+            return {"p50": p50, "p95": p95, "p99": p99,
+                    "mean": recent.mean(), "max": recent.max()}
+
+        def assert_matches(got, want):
+            assert set(got) == set(want)
+            for key in ("p50", "p95", "p99", "max"):  # order-free: exact
+                assert got[key] == want[key]
+            # The ring holds the window rotated; summation order may differ.
+            assert got["mean"] == pytest.approx(want["mean"], rel=1e-12)
+
+        snap = recorder.snapshot(queue_requests=0, queue_rows=0)
+        assert_matches(snap.latency_ms, expected(seconds, 1024))
+        for name in ("a", "b"):
+            mine = seconds[tenants == name]
+            assert_matches(snap.tenants[name].latency_ms, expected(mine, 256))
+
     def test_snapshot_roundtrip(self):
         recorder = StatsRecorder()
         recorder.record_batch(12)
