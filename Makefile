@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install check lint statan sanitize test test-resilience test-service bench bench-claims bench-smoke bench-gate bench-hotpath planner-gate radix-gate service-gate bench-service chaos-smoke chaos-gate bench-chaos fleet-smoke fleet-gate bench-fleet capacity-smoke capacity-gate bench-capacity perfbench report examples figures table1 clean
+.PHONY: install check lint statan sanitize test test-resilience test-service bench bench-claims bench-smoke bench-gate bench-hotpath planner-gate radix-gate service-gate bench-service chaos-smoke chaos-gate bench-chaos fleet-smoke fleet-gate fleet-soak bench-fleet capacity-smoke capacity-gate bench-capacity perfbench report examples figures table1 clean
 
 # Smoke benchmark artifacts are throwaway sanity outputs; they go to the
 # temp dir, never the repo root (gate artifacts ARE committed).
@@ -144,6 +144,24 @@ fleet-smoke:
 fleet-gate:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_fleet.py \
 		--check-gate BENCH_fleet.json
+
+# Fleet failover soak: tests/test_fleet_failover.py RUNS times in a row
+# beside BUSY pure-Python spin processes (a loaded host is where a
+# failover race shows), stopping at the first failing run.  The
+# spinners are killed on any exit.  e.g. make fleet-soak RUNS=5 BUSY=0
+RUNS ?= 20
+BUSY ?= 2
+fleet-soak:
+	@pids=""; trap 'kill $$pids 2>/dev/null' EXIT; trap 'exit 130' INT TERM; \
+	for i in $$(seq 1 $(BUSY)); do \
+		$(PYTHON) -c 'while True: pass' & pids="$$pids $$!"; \
+	done; \
+	for run in $$(seq 1 $(RUNS)); do \
+		echo "== fleet-soak run $$run/$(RUNS) (busy loops: $(BUSY)) =="; \
+		PYTHONPATH=src $(PYTHON) -m pytest tests/test_fleet_failover.py -q \
+			|| { echo "fleet-soak: run $$run of $(RUNS) FAILED"; exit 1; }; \
+	done; \
+	echo "fleet-soak: $(RUNS) of $(RUNS) runs passed"
 
 # Full fleet artifact — this is what the committed BENCH_fleet.json was
 # produced with (gated live while generating; several minutes).

@@ -6,8 +6,8 @@ processes, each owning a full planner + ``ScratchArena`` +
 ``SortService`` stack — the host-side analogue of partitioning arrays
 across GPUs.  See :mod:`repro.fleet.fleet` for the architecture
 (lane-affinity load-aware routing, two-region shared-memory handoff,
-heartbeat/liveness failover that drains a dead worker's in-flight
-requests to survivors).
+one pipe per worker, failover on pipe EOF or heartbeat silence that
+drains a dead worker's in-flight requests to survivors).
 
 Entry points:
 

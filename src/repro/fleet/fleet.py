@@ -12,10 +12,12 @@ Request path::
 
     submit ──> FleetRouter (lane affinity + least-outstanding-rows)
            ──> pooled two-region shm slab [input | output], input staged once
+           ──> the worker's own pipe: one pickled descriptor tuple
            ──> worker process: local SortService batches, sorts, writes
-               the output half, answers on the shared response queue
-           ──> collector thread: copy-out, slab back to its pool, resolve
-               the caller's Future
+               the output half, answers on the same pipe
+           ──> collector thread (waits on every pipe and process
+               sentinel): copy-out, slab back to its pool, resolve the
+               caller's Future
 
 Design points, each load-bearing:
 
@@ -36,10 +38,16 @@ Design points, each load-bearing:
   after copy-out, so a pool grows to the worker's in-flight high-water
   mark — which the router's ``max_worker_queue_rows`` already bounds —
   and the worker maps each slab once, not once per request.
+* **One pipe per worker.**  Each worker talks to the parent over its
+  own duplex pipe and nothing else, so no lock, queue or feeder thread
+  is shared between workers: a worker killed mid-send stalls only its
+  own pipe.  Sends on a pipe are serialized by one lock per process
+  (the handle's in the parent, the worker's own in the child).
 * **Failover from the pristine input half.**  The worker never writes
   the input half of a slab, so the parent always holds a pristine copy
-  of every in-flight request.  A worker that dies (process exit *or*
-  heartbeat silence past the liveness deadline) is drained: its pending
+  of every in-flight request.  A worker that dies (EOF on its pipe, its
+  process sentinel, *or* heartbeat silence past the liveness deadline —
+  the one signal a SIGSTOPped process gives) is drained: its pending
   requests are re-staged into slabs of survivors — never dropped — and
   if **no** worker survives, the parent itself sorts them through the
   resilience layer (:class:`~repro.resilience.ResilientSorter`).  A
@@ -61,11 +69,10 @@ from __future__ import annotations
 
 import mmap
 import multiprocessing
-import queue as queue_mod
 import threading
 import time
 from concurrent.futures import Future
-from multiprocessing import shared_memory
+from multiprocessing import connection, shared_memory
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -171,28 +178,41 @@ class _PendingRequest:
         )
 
 
+@_sanitizer.sanitize_guarded
 class _WorkerHandle:
-    """Parent-side bookkeeping for one worker process (all mutable
-    fields guarded by the owning fleet's lock)."""
+    """Parent-side bookkeeping for one worker process.
 
-    __slots__ = (
-        "worker_id", "process", "request_q", "alive", "stopped",
-        "last_hb", "last_stats", "dispatched", "completed", "failed",
-        "redispatched",
-    )
+    ``conn`` is the parent's end of the worker's duplex pipe.  Every
+    send on it holds ``send_lock`` (submitters, failover and ``close``
+    all send); the collector alone receives, without the lock, since a
+    pipe's two directions are independent.  The other mutable fields
+    are guarded by the owning fleet's lock.
+    """
 
-    def __init__(self, worker_id, process, request_q) -> None:
+    def __init__(self, worker_id, process, conn) -> None:
         self.worker_id = worker_id
         self.process = process
-        self.request_q = request_q
+        self.send_lock = _sanitizer.make_lock(
+            f"SortFleet.worker{worker_id}.send_lock"
+        )
+        self.conn = conn  # guarded-by: send_lock
         self.alive = True
-        self.stopped = False
         self.last_hb: Optional[float] = None
         self.last_stats: Dict[str, object] = {}
         self.dispatched = 0
         self.completed = 0
         self.failed = 0
         self.redispatched = 0
+
+    def send(self, msg: tuple) -> None:
+        """Pickle ``msg`` onto the worker's pipe; raises ``OSError`` or
+        ``ValueError`` once the worker (or the pipe) is gone."""
+        with self.send_lock:
+            self.conn.send(msg)
+
+    def close(self) -> None:
+        with self.send_lock:
+            self.conn.close()
 
 
 @_sanitizer.sanitize_guarded
@@ -321,7 +341,6 @@ class SortFleet:
             resource_tracker.ensure_running()
         except (ImportError, AttributeError, OSError):
             pass  # best-effort: without it teardown is noisier, not wrong
-        self._response_q = self._ctx.Queue()
 
         # _wakeup shares _lock's mutex (Condition(self._lock)), so
         # holding either name satisfies the guarded-by contract below.
@@ -345,17 +364,19 @@ class SortFleet:
         self._fallback_sorter = None  # lazy ResilientSorter (collector-only)
 
         for worker_id in range(self.workers_total):
-            request_q = self._ctx.SimpleQueue()
+            conn, child_conn = self._ctx.Pipe()
             process = self._ctx.Process(
                 target=worker_main,
-                args=(worker_id, request_q, self._response_q, worker_cfg),
+                args=(worker_id, child_conn, worker_cfg),
                 name=f"repro-fleet-worker-{worker_id}",
                 daemon=True,
             )
             process.start()
-            self._handles[worker_id] = _WorkerHandle(
-                worker_id, process, request_q
-            )
+            # Drop the parent's copy of the child end before the next
+            # fork, so no sibling inherits it: the worker is then its
+            # only holder, and its death reads as EOF on ``conn``.
+            child_conn.close()
+            self._handles[worker_id] = _WorkerHandle(worker_id, process, conn)
             self._free_slabs[worker_id] = {}
         self._await_ready(start_timeout_s)
         for worker_id in self._handles:
@@ -367,47 +388,37 @@ class SortFleet:
         self._collector.start()
 
     def _await_ready(self, timeout_s: float) -> None:
-        """Block until every worker posts ``("ready", id)``.
+        """Block until every worker posts ``("ready", id)``, its first
+        message; EOF before it means the worker died during startup.
 
-        Runs pre-collector (single-threaded), so guarded state is still
-        private to the constructor; early heartbeats that interleave are
-        folded in rather than dropped.
+        Runs pre-collector (single-threaded), so the handles are still
+        private to the constructor.
         """
-        ready: set = set()
+        with self._lock:
+            waiting = {h.conn: h for h in self._handles.values()}
         deadline = time.monotonic() + timeout_s
-        while len(ready) < self.workers_total:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
+        while waiting:
+            ready = connection.wait(
+                list(waiting), max(0.0, deadline - time.monotonic())
+            )
+            if not ready:
                 self._abort_start()
                 raise TimeoutError(
-                    f"fleet start timed out: {len(ready)} of "
+                    f"fleet start timed out: "
+                    f"{self.workers_total - len(waiting)} of "
                     f"{self.workers_total} workers ready after {timeout_s}s"
                 )
-            try:
-                msg = self._response_q.get(timeout=min(remaining, 0.2))
-            except queue_mod.Empty:
-                with self._lock:
-                    dead = [
-                        h.worker_id for h in self._handles.values()
-                        if h.worker_id not in ready
-                        and not h.process.is_alive()
-                    ]
-                if dead:
+            for conn in ready:
+                handle = waiting.pop(conn)
+                try:
+                    conn.recv()
+                except (EOFError, OSError):
                     self._abort_start()
                     raise RuntimeError(
-                        f"fleet worker(s) {dead} died during startup "
-                        "(see the worker traceback above)"
-                    )
-                continue
-            with self._lock:
-                if msg[0] == "ready":
-                    ready.add(msg[1])
-                    self._handles[msg[1]].last_hb = time.monotonic()
-                elif msg[0] == "hb":
-                    handle = self._handles.get(msg[1])
-                    if handle is not None:
-                        handle.last_hb = time.monotonic()
-                        handle.last_stats = msg[3]
+                        f"fleet worker {handle.worker_id} died during "
+                        "startup (see the worker traceback above)"
+                    ) from None
+                handle.last_hb = time.monotonic()
 
     def _abort_start(self) -> None:
         with self._lock:
@@ -501,24 +512,40 @@ class SortFleet:
             self._pending[req_id] = record
             handle.dispatched += 1
             self._recorder.record_submitted(tenant=tenant, rows=rows)
+        if (
+            not self._send_request(handle, record, deadline)
+            and self._pop_pending(req_id, worker_id) is not None
+        ):
+            # The chosen worker died between routing and dispatch.  The
+            # collector will reap it; this request fails over right now
+            # (unless the collector's failover already claimed it).
+            self._router.record_done(worker_id, rows)
+            self._dispatch_failover([record], from_worker=worker_id, retire=True)
+        return future
+
+    def _send_request(
+        self,
+        handle: _WorkerHandle,
+        record: _PendingRequest,
+        remaining: Optional[float],
+    ) -> bool:
+        """Send ``record``'s descriptor to ``handle``'s worker, outside
+        the fleet lock (a full pipe blocks only this sender); False when
+        the worker's pipe is gone.
+
+        A failover that re-stages ``record`` concurrently has already
+        killed this worker, so a descriptor read mid-re-stage reaches
+        no live process.
+        """
         try:
-            handle.request_q.put((
-                "sort", req_id, shm.name, rows, row_len, staged.dtype.str,
-                deadline, int(priority), tenant,
+            handle.send((
+                "sort", record.req_id, record.shm.name, record.rows,
+                record.row_len, record.dtype.str, remaining,
+                record.priority, record.tenant,
             ))
         except (OSError, ValueError):
-            # The chosen worker died between routing and dispatch (its
-            # queue pipe is gone).  Liveness will reap it; this request
-            # fails over right now instead of waiting for that tick.
-            # Unless the collector's failover already claimed it.
-            with self._wakeup:
-                claimed = self._pending.pop(req_id, None) is not None
-            if claimed:
-                self._router.record_done(worker_id, rows)
-                self._dispatch_failover(
-                    [record], from_worker=worker_id, retire=True
-                )
-        return future
+            return False
+        return True
 
     def flush(self, timeout: Optional[float] = None) -> bool:
         """Block until nothing is in flight anywhere in the fleet.
@@ -557,12 +584,12 @@ class SortFleet:
             if self._pending:
                 dropped = list(self._pending.values())
                 self._pending.clear()
-            for handle in handles:
-                if handle.alive:
-                    try:
-                        handle.request_q.put(("stop",))
-                    except (OSError, ValueError):  # worker already gone
-                        handle.alive = False
+            live = [handle for handle in handles if handle.alive]
+        for handle in live:
+            try:
+                handle.send(("stop",))
+            except (OSError, ValueError):  # worker already gone
+                pass
         for record in dropped:
             self._router.record_done(record.worker_id, record.rows)
             if record.future.set_running_or_notify_cancel():
@@ -580,8 +607,8 @@ class SortFleet:
                 handle.alive = False
             self._wakeup.notify_all()
         self._collector.join(timeout=5.0)
-        self._response_q.close()
-        self._response_q.join_thread()
+        for handle in handles:
+            handle.close()
         # Only now, with every worker joined, can no process still be
         # reading or writing a slab: unlink the pools and the slabs of
         # requests close() dropped.
@@ -613,8 +640,8 @@ class SortFleet:
     def kill_worker(self, worker_id: int) -> None:
         """SIGKILL one worker — the chaos/failover test hook.
 
-        The collector notices the death on its next liveness tick and
-        drains the worker's in-flight requests to survivors.
+        The collector sees EOF on the worker's pipe (or its process
+        sentinel) and drains its in-flight requests to survivors.
         """
         with self._lock:
             handle = self._handles.get(worker_id)
@@ -630,7 +657,6 @@ class SortFleet:
             frontend = self._recorder.snapshot(
                 queue_requests=len(self._pending),
                 queue_rows=sum(r.rows for r in self._pending.values()),
-                planner_engine_counts=self._merged_planner_counts_locked(),
             )
             workers: Dict[int, WorkerState] = {}
             for worker_id, handle in sorted(self._handles.items()):
@@ -666,21 +692,6 @@ class SortFleet:
                 slabs_retired=self._slabs_retired,
                 slab_pool_bytes=self._slab_pool_bytes,
             )
-
-    def _merged_planner_counts_locked(self) -> Dict[str, Dict[str, int]]:
-        """Sum the per-worker planner engine counts from heartbeats."""
-        merged: Dict[str, Dict[str, int]] = {}
-        for handle in self._handles.values():
-            counts = handle.last_stats.get("planner_engine_counts", {})
-            if not isinstance(counts, dict):
-                continue
-            for shape, engines in counts.items():
-                if not isinstance(engines, dict):
-                    continue
-                into = merged.setdefault(str(shape), {})
-                for engine, n in engines.items():
-                    into[str(engine)] = into.get(str(engine), 0) + int(n)
-        return merged
 
     # -- slab pools ----------------------------------------------------------
     def _take_slab_locked(
@@ -724,30 +735,51 @@ class SortFleet:
 
     # -- collector thread --------------------------------------------------
     def _collect(self) -> None:
-        """Resolve futures, track heartbeats, detect and drain deaths."""
-        tick = self.heartbeat_s
+        """Resolve futures, track heartbeats, detect and drain deaths.
+
+        Waits on every live worker's pipe and process sentinel at once.
+        EOF or an exited process fails the worker over immediately;
+        heartbeat silence (a stalled process) after ``liveness_s``.
+        """
         while True:
             with self._lock:
                 if self._stop_collector:
                     return
-            try:
-                msg = self._response_q.get(timeout=tick)
-            except queue_mod.Empty:
-                msg = None
-            except (OSError, ValueError):
-                return  # queue torn down under us: close() is reaping
-            if msg is not None:
-                kind = msg[0]
-                if kind == "done":
-                    self._complete(msg[1], msg[2])
-                elif kind == "error":
-                    self._fail(msg[1], msg[2], msg[3], msg[4], msg[5])
-                elif kind == "hb":
-                    self._note_heartbeat(msg[1], msg[3])
-                elif kind == "stopped":
-                    self._note_stopped(msg[1])
-                # "ready" duplicates are ignored
+                live = [h for h in self._handles.values() if h.alive]
+            owner: Dict[object, _WorkerHandle] = {}
+            for handle in live:
+                owner[handle.conn] = handle
+                owner[handle.process.sentinel] = handle
+            ready = connection.wait(list(owner), timeout=self.heartbeat_s)
+            for handle in {owner[obj] for obj in ready}:
+                # Drain the pipe before acting on an exit: replies the
+                # worker sent before it died are still good.
+                if (
+                    not self._receive(handle)
+                    or handle.process.sentinel in ready
+                ):
+                    self._fail_over(handle)
             self._check_liveness()
+
+    def _receive(self, handle: _WorkerHandle) -> bool:
+        """Act on every message waiting on ``handle``'s pipe; False at
+        EOF (the worker is gone)."""
+        while True:
+            try:
+                if not handle.conn.poll():
+                    return True
+                msg = handle.conn.recv()
+            except (EOFError, OSError):
+                return False
+            kind = msg[0]
+            if kind == "done":
+                self._complete(msg[1], msg[2])
+            elif kind == "error":
+                self._fail(msg[1], msg[2], msg[3], msg[4], msg[5])
+            elif kind == "hb":
+                self._note_heartbeat(msg[1], msg[3])
+            elif kind == "stopped":
+                self._note_stopped(msg[1])
 
     def _pop_pending(self, req_id: int, worker_id: int) -> Optional[_PendingRequest]:
         """Claim a pending record for delivery (None = already handled,
@@ -835,28 +867,20 @@ class SortFleet:
         with self._wakeup:
             handle = self._handles.get(worker_id)
             if handle is not None:
-                handle.stopped = True
                 handle.alive = False
             self._wakeup.notify_all()
 
     def _check_liveness(self) -> None:
-        """Declare dead any worker whose process exited or whose
-        heartbeat is older than the liveness deadline; drain each."""
+        """Declare dead any worker whose heartbeat is older than the
+        liveness deadline; drain each."""
         now = time.monotonic()
-        suspects: List[_WorkerHandle] = []
         with self._lock:
-            if self._closed:
-                return  # close() owns worker teardown
-            for handle in self._handles.values():
-                if not handle.alive:
-                    continue
-                if not handle.process.is_alive():
-                    suspects.append(handle)
-                elif (
-                    handle.last_hb is not None
-                    and now - handle.last_hb > self.liveness_s
-                ):
-                    suspects.append(handle)
+            suspects = [
+                handle for handle in self._handles.values()
+                if handle.alive
+                and handle.last_hb is not None
+                and now - handle.last_hb > self.liveness_s
+            ]
         for handle in suspects:
             self._fail_over(handle)
 
@@ -867,6 +891,8 @@ class SortFleet:
             if not handle.alive:
                 return
             handle.alive = False
+            if self._closed:
+                return  # close() owns worker teardown
             self._failovers += 1
             victims = [
                 record for record in self._pending.values()
@@ -941,18 +967,11 @@ class SortFleet:
                 victim_handle = self._handles.get(from_worker)
                 if victim_handle is not None:
                     victim_handle.redispatched += 1
-                try:
-                    handle.request_q.put((
-                        "sort", record.req_id, record.shm.name,
-                        record.rows, record.row_len, record.dtype.str,
-                        remaining, record.priority, record.tenant,
-                    ))
-                    put_failed = False
-                except (OSError, ValueError):  # target died under us
-                    del self._pending[record.req_id]
-                    put_failed = True
             self._release_slab(old_shm, from_worker, retire=retire)
-            if put_failed:
+            if (
+                not self._send_request(handle, record, remaining)
+                and self._pop_pending(record.req_id, target) is not None
+            ):  # the target died under us
                 self._router.record_done(target, record.rows)
                 self._parent_sort(record, target, retire=True)
 

@@ -15,7 +15,7 @@ The fleet's scrape surface follows the service's
     work, dispatch/failover counters, and the worker's *own*
     ``ServiceStats`` snapshot from its last heartbeat (so operators can
     see inside each process: its batch occupancy, its queue, its
-    planner's engine picks);
+    latency);
   - ``aggregate`` — the workers' service counters summed, the "what is
     the whole fleet's sort plane doing" view.
 
@@ -109,12 +109,6 @@ def collect_fleet_metrics(fleet) -> Dict[str, object]:
         "tenants": {
             name: tenant.as_dict()
             for name, tenant in frontend.tenants.items()
-        },
-        "planner": {
-            "engine_counts": {
-                shape: dict(engines)
-                for shape, engines in frontend.planner_engine_counts.items()
-            },
         },
         "workers": workers,
         "aggregate": aggregate,
@@ -216,19 +210,4 @@ def render_fleet_prometheus(
     if isinstance(aggregate, dict):
         for name in sorted(aggregate):
             lines.append(f"{prefix}_aggregate_{name}_total {aggregate[name]}")
-    planner = metrics.get("planner", {})
-    if isinstance(planner, dict):
-        engine_counts = planner.get("engine_counts", {})
-        if isinstance(engine_counts, dict):
-            for shape in sorted(engine_counts):
-                engines = engine_counts[shape]
-                if not isinstance(engines, dict):
-                    continue
-                for engine in sorted(engines):
-                    lines.append(
-                        f'{prefix}_planner_selected_total'
-                        f'{{shape_class="{escape_label_value(shape)}",'
-                        f'engine="{escape_label_value(engine)}"}} '
-                        f"{engines[engine]}"
-                    )
     return "\n".join(lines) + "\n"

@@ -1,10 +1,14 @@
-"""The fleet worker process: one full sort stack behind a queue.
+"""The fleet worker process: one full sort stack behind one pipe.
 
 Each worker the :class:`~repro.fleet.SortFleet` forks runs
 :func:`worker_main`: it builds its *own* planner + ``ScratchArena`` +
 :class:`~repro.service.SortService` (one GIL per worker — that is the
-whole reason the fleet exists), then loops on a request queue of
-shared-memory descriptors.
+whole reason the fleet exists), then reads shared-memory descriptors
+from its end of a duplex pipe and answers on the same pipe.  The pipe
+is this worker's alone: no lock, queue or feeder thread is shared with
+another worker.  Three threads send on it — the main thread, the
+service's dispatch thread (done callbacks) and the heartbeat thread —
+so every send holds one worker-local lock.
 
 **Zero-copy handoff, pooled two-region slabs.**  The parent stages
 each request into a ``multiprocessing.shared_memory`` slab from this
@@ -29,14 +33,16 @@ live exception usefully, so every service failure is flattened to
 ``SortFleet.submit`` see exactly the error vocabulary of the in-process
 service.
 
-**Heartbeats.**  A daemon thread posts ``("hb", worker_id, seq,
+**Heartbeats.**  A daemon thread sends ``("hb", worker_id, seq,
 stats_dict)`` every ``heartbeat_s`` seconds, carrying the worker's full
-:class:`~repro.service.stats.ServiceStats` snapshot; the parent uses the
-cadence for liveness (a worker silent past the liveness deadline is
-declared dead and drained) and the payload for the fleet's aggregate
-metrics.  The same thread ends an orphaned worker: once the parent pid
-changes (the parent died and the worker was re-parented), the worker
-exits instead of waiting on a request queue nobody will write to.
+:class:`~repro.service.stats.ServiceStats` snapshot; the parent reads
+the payload for the fleet's aggregate metrics.  A dead worker shows as
+EOF on its pipe, so the cadence matters for the one death that closes
+nothing: a stalled (SIGSTOPped) process, declared dead once it is
+silent past the liveness deadline.  The same thread ends an orphaned
+worker: once the parent pid changes (the parent died and the worker was
+re-parented), the worker exits instead of waiting on a pipe nobody will
+write to.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ import multiprocessing
 import os
 import threading
 from multiprocessing import shared_memory
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -165,17 +171,18 @@ def rebuild_error(
 def _heartbeat_loop(
     worker_id: int,
     service,
-    response_q,
+    send: Callable[[tuple], None],
     interval_s: float,
     stop: threading.Event,
     parent_pid: Optional[int],
 ) -> None:
-    """Post liveness + a ServiceStats snapshot until told to stop.
+    """Send liveness + a ServiceStats snapshot until told to stop.
 
     When ``parent_pid`` is set and is no longer this process's parent,
     the parent is dead and the process exits on the spot.  The main
-    thread cannot notice by itself: it blocks in ``request_q.get()``,
-    and the worker's own inherited write end keeps that pipe open.
+    thread cannot notice by itself: it blocks in ``conn.recv()``, and
+    this worker (like every sibling forked after it) inherited a copy
+    of the parent's end at fork, so no EOF arrives.
     """
     seq = 0
     while not stop.wait(interval_s):
@@ -186,16 +193,15 @@ def _heartbeat_loop(
             stats = service.stats().as_dict()
         except Exception:
             stats = {}
-        try:
-            response_q.put(("hb", worker_id, seq, stats))
-        except Exception:
-            return  # parent gone; nothing left to report to
+        send(("hb", worker_id, seq, stats))
 
 
-def worker_main(worker_id: int, request_q, response_q, cfg: WorkerConfig) -> None:
-    """Process entry point: serve sort requests until the stop sentinel.
+def worker_main(worker_id: int, conn, cfg: WorkerConfig) -> None:
+    """Process entry point: serve sort requests until ``("stop",)``.
 
-    Request messages (from the parent):
+    ``conn`` is the worker's end of its duplex pipe.  The first message
+    sent is ``("ready", worker_id)``.  Request messages (from the
+    parent):
 
     ``("sort", req_id, shm_name, rows, row_len, dtype_str, deadline_s,
     priority, tenant)`` — map the two-region slab (once per name), submit
@@ -203,10 +209,19 @@ def worker_main(worker_id: int, request_q, response_q, cfg: WorkerConfig) -> Non
     output half, answer ``("done", req_id, worker_id)`` or ``("error",
     req_id, worker_id, kind, message, fields)``.
 
-    ``("stop",)`` — drain the local service and exit (answering
+    ``("stop",)`` (or EOF) — drain the local service and exit (answering
     ``("stopped", worker_id)``).
     """
     from ..service import SortService
+
+    send_lock = threading.Lock()
+
+    def send(msg: tuple) -> None:
+        with send_lock:
+            try:
+                conn.send(msg)
+            except (OSError, ValueError):
+                pass  # the parent's end is gone: nobody left to answer
 
     service = SortService(
         config=cfg.config,
@@ -218,18 +233,18 @@ def worker_main(worker_id: int, request_q, response_q, cfg: WorkerConfig) -> Non
         max_queue_rows=cfg.max_queue_rows,
         latency_window=cfg.latency_window,
     )
+    send(("ready", worker_id))
     stop = threading.Event()
     heartbeat = threading.Thread(
         target=_heartbeat_loop,
         # parent_process() is None when not started by multiprocessing
         # (in-thread use): there is then no parent to outlive.
-        args=(worker_id, service, response_q, cfg.heartbeat_s, stop,
+        args=(worker_id, service, send, cfg.heartbeat_s, stop,
               getattr(multiprocessing.parent_process(), "pid", None)),
         name=f"repro-fleet-hb-{worker_id}",
         daemon=True,
     )
     heartbeat.start()
-    response_q.put(("ready", worker_id))
 
     # Slab name -> mapped segment, for the worker's whole life: the
     # parent reuses pooled slabs, and unlinks one only after this
@@ -259,7 +274,7 @@ def worker_main(worker_id: int, request_q, response_q, cfg: WorkerConfig) -> Non
 
         def _report(exc: BaseException) -> None:
             kind, message, fields = describe_error(exc)
-            response_q.put(("error", req_id, worker_id, kind, message, fields))
+            send(("error", req_id, worker_id, kind, message, fields))
 
         def _deliver(future, *, copied: bool) -> None:
             try:
@@ -278,7 +293,7 @@ def worker_main(worker_id: int, request_q, response_q, cfg: WorkerConfig) -> Non
             except Exception as exc:  # typed service errors -> data
                 _report(exc)
                 return
-            response_q.put(("done", req_id, worker_id))
+            send(("done", req_id, worker_id))
 
         def _submit(*, copy: bool) -> None:
             try:
@@ -298,8 +313,11 @@ def worker_main(worker_id: int, request_q, response_q, cfg: WorkerConfig) -> Non
 
     try:
         while True:
-            msg = request_q.get()
-            if msg is None or msg[0] == "stop":
+            try:
+                msg = conn.recv()
+            except EOFError:
+                break
+            if msg[0] == "stop":
                 break
             if msg[0] == "sort":
                 _serve_one(msg)
@@ -308,10 +326,7 @@ def worker_main(worker_id: int, request_q, response_q, cfg: WorkerConfig) -> Non
         try:
             service.close(drain=True)
         finally:
-            try:
-                response_q.put(("stopped", worker_id))
-            except (OSError, ValueError):  # parent-side queue already gone
-                pass
+            send(("stopped", worker_id))
 
 
 def nbytes_for(rows: int, row_len: int, dtype: np.dtype) -> int:

@@ -3,9 +3,8 @@
 A production SLO story needs numbers an operator can scrape, diff, and
 alert on — not a Python object behind a REPL.  This module turns a
 :class:`~repro.service.SortService`'s :class:`~repro.service.stats.ServiceStats`
-(plus the per-tenant QoS counters, the queue's per-tenant backlog, the
-backend planner's per-shape engine-selection counts, and — when the
-backend is a :class:`~repro.resilience.ResilientSorter` — the
+(plus the per-tenant QoS counters, the queue's per-tenant backlog, and
+— when the backend is a :class:`~repro.resilience.ResilientSorter` — the
 resilience roll-up and fault-injection counters) into two structured
 forms:
 
@@ -102,12 +101,6 @@ def collect_metrics(service, *, capacity=None) -> Dict[str, object]:
         "mean_occupancy_rows": stats.mean_occupancy_rows,
         "tenants": {
             name: tenant.as_dict() for name, tenant in stats.tenants.items()
-        },
-        "planner": {
-            "engine_counts": {
-                shape: dict(engines)
-                for shape, engines in stats.planner_engine_counts.items()
-            },
         },
     }
     backend = _describe_backend(service)
@@ -249,20 +242,6 @@ def render_prometheus(metrics: Dict[str, object],
                         f'{prefix}_tenant_latency_ms{{tenant='
                         f'"{_label(tenant)}",quantile="{_label(quantile)}"}} '
                         f"{tenant_latency[quantile]}"
-                    )
-    planner = metrics.get("planner", {})
-    if isinstance(planner, dict):
-        engine_counts = planner.get("engine_counts", {})
-        if isinstance(engine_counts, dict):
-            for shape in sorted(engine_counts):
-                engines = engine_counts[shape]
-                if not isinstance(engines, dict):
-                    continue
-                for engine in sorted(engines):
-                    lines.append(
-                        f'{prefix}_planner_selected_total'
-                        f'{{shape_class="{_label(shape)}",'
-                        f'engine="{_label(engine)}"}} {engines[engine]}'
                     )
     backend = metrics.get("backend")
     if isinstance(backend, dict):

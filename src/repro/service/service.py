@@ -464,32 +464,11 @@ class SortService:
 
     def stats(self) -> ServiceStats:
         """One consistent :class:`ServiceStats` snapshot."""
-        # Read the planner's decision counts outside the service lock:
-        # the planner has its own lock, and nesting them here would pin
-        # a lock order the sort path doesn't share.
-        planner_engine_counts = self.planner_engine_counts()
         with self._lock:
             return self._recorder.snapshot(
                 queue_requests=self._batcher.total_requests,
                 queue_rows=self._batcher.total_rows,
-                planner_engine_counts=planner_engine_counts,
             )
-
-    def planner_engine_counts(self) -> Dict[str, Dict[str, int]]:
-        """Engine-selection counts per shape class from the backend planner.
-
-        Empty when the backend runs without a planner.  Both backends
-        expose the resolved planner as ``.planner`` (``GpuArraySort``
-        and ``ResilientSorter``), and every planner — adaptive or
-        static — counts its ``plan()`` decisions, so this shows e.g.
-        the radix engine being chosen for large-row lanes under live
-        traffic.
-        """
-        planner = getattr(self._sorter, "planner", None)
-        counts = getattr(planner, "plan_counts", None)
-        if not callable(counts):
-            return {}
-        return counts()
 
     def tenant_backlog(self) -> Dict[str, int]:
         """Rows currently queued per tenant (the metrics surface)."""

@@ -175,15 +175,6 @@ class ServiceStats:
     latency_ms: Dict[str, float]
     #: Per-tenant slices of the above (tenant name -> TenantStats).
     tenants: Dict[str, TenantStats] = dataclasses.field(default_factory=dict)
-    #: Planner engine-selection counts per shape class
-    #: (``shape_class_key`` -> engine -> times chosen), from the
-    #: backend planner's :meth:`~repro.planner.planner._PlannerBase.plan_counts`.
-    #: Empty when the backend has no planner.  This is how live traffic
-    #: shows *which* engine (serial/radix) each batch
-    #: shape actually dispatches to.
-    planner_engine_counts: Dict[str, Dict[str, int]] = dataclasses.field(
-        default_factory=dict
-    )
 
     @property
     def mean_occupancy_rows(self) -> float:
@@ -329,15 +320,12 @@ class StatsRecorder:
         *,
         queue_requests: int,
         queue_rows: int,
-        planner_engine_counts: Optional[Dict[str, Dict[str, int]]] = None,
     ) -> ServiceStats:
         """One consistent snapshot: every field read under the same lock.
 
         The lock covers copying the counters and latency windows;
         ``np.percentile`` runs on the copies after it is released, so
         the completion path's :meth:`record_latency` never waits on it.
-        ``planner_engine_counts`` is point-in-time state owned by the
-        backend's planner (its own lock), passed through verbatim.
         """
         with self._lock:
             counters = dict(
@@ -367,5 +355,4 @@ class StatsRecorder:
                 )
                 for tallies, tenant_window in tenants
             },
-            planner_engine_counts=planner_engine_counts or {},
         )

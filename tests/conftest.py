@@ -1,16 +1,24 @@
-"""Shared fixtures for the test suite, plus a per-test timeout guard.
+"""Shared fixtures for the test suite, plus a per-test timeout guard
+and a per-module leak check.
 
 The timeout guard exists for the resilience suite: a regression in the
 retry loop (e.g. a fault plan that always faults combined with a broken
 fallback) would otherwise hang the tier-1 run instead of failing it.
 ``pytest-timeout`` is not a dependency, so a SIGALRM-based hook stands
 in; override the default with ``@pytest.mark.timeout(seconds)``.
+
+The leak check fails the last test of a module that leaves a
+``multiprocessing`` child process or a non-main thread running once
+its module-scoped fixtures are torn down: a leftover service thread or
+fleet worker would compete for the CPU with every later test.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -50,6 +58,38 @@ def pytest_runtest_call(item):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+#: Seconds a module's threads and child processes get to finish after
+#: its teardown before they count as leaked.
+LEAK_GRACE_S = 2.0
+
+
+def _leftovers():
+    main = threading.main_thread()
+    threads = [t.name for t in threading.enumerate() if t is not main]
+    children = [p.name for p in multiprocessing.active_children()]
+    return threads, children
+
+
+@pytest.hookimpl(trylast=True)
+def pytest_runtest_teardown(item, nextitem):
+    """At a module boundary (after the runner's teardown, so module
+    fixtures are gone), fail if threads or child processes remain."""
+    if nextitem is not None and nextitem.module is item.module:
+        return
+    deadline = time.monotonic() + LEAK_GRACE_S
+    threads, children = _leftovers()
+    while (threads or children) and time.monotonic() < deadline:
+        time.sleep(0.05)
+        threads, children = _leftovers()
+    if threads or children:
+        pytest.fail(
+            f"{item.module.__name__} left threads {threads} and child "
+            f"processes {children} running {LEAK_GRACE_S:g}s after its "
+            "teardown",
+            pytrace=False,
+        )
 
 
 @pytest.fixture

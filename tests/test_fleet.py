@@ -9,6 +9,7 @@ their own.
 
 import concurrent.futures
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -169,6 +170,15 @@ class TestLifecycle:
     def test_flush_empty_fleet_returns_true(self, fleet):
         assert fleet.flush(timeout=5.0)
 
+    def test_worker_death_during_startup_raises_at_once(self):
+        # The worker's service rejects the planner spec, so the process
+        # dies before "ready": EOF on its pipe, long before the timeout.
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="died during startup"):
+            SortFleet(workers=2, planner="no-such-engine",
+                      start_timeout_s=60.0)
+        assert time.monotonic() - started < 30.0
+
 
 class TestStats:
     def test_counters_and_worker_views(self):
@@ -246,7 +256,7 @@ class TestWorkerCopyOut:
         """A request whose batch resolves before the worker registers its
         done callback must not be copied from the zero-copy view: the
         next batch may already have overwritten it."""
-        import queue
+        import multiprocessing
         from multiprocessing import shared_memory
 
         import repro.service
@@ -269,22 +279,24 @@ class TestWorkerCopyOut:
         shm = shared_memory.SharedMemory(create=True, size=2 * batch.nbytes)
         try:
             np.ndarray(batch.shape, batch.dtype, buffer=shm.buf)[:] = batch
-            requests, responses = queue.Queue(), queue.Queue()
-            requests.put(("sort", 7, shm.name, 4, 64, batch.dtype.str,
-                          None, 0, "default"))
-            requests.put(("stop",))
+            parent, child = multiprocessing.Pipe()
+            parent.send(("sort", 7, shm.name, 4, 64, batch.dtype.str,
+                         None, 0, "default"))
+            parent.send(("stop",))
             worker = threading.Thread(
-                target=worker_main, args=(0, requests, responses,
+                target=worker_main, args=(0, child,
                                           WorkerConfig(linger_ms=0.0)),
             )
             worker.start()
             worker.join(timeout=30)
             assert not worker.is_alive()
             replies = []
-            while not responses.empty():
-                msg = responses.get_nowait()
+            while parent.poll():
+                msg = parent.recv()
                 if msg[0] in ("done", "error"):
                     replies.append(msg)
+            parent.close()
+            child.close()
             assert replies == [("done", 7, 0)]
             out = np.ndarray(batch.shape, batch.dtype, buffer=shm.buf,
                              offset=batch.nbytes)

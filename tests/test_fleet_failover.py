@@ -147,8 +147,10 @@ class TestWorkerDeath:
                     future.result(timeout=60), np.sort(batch, axis=1)
                 )
                 stats = fl.stats()
-                assert stats.failovers >= 1
+                assert stats.failovers == 1
                 assert not stats.workers[victim].alive
+                assert fl.workers_alive() == [1 - victim]
+                assert stats.parent_fallbacks == 0
             finally:
                 try:
                     os.kill(pid, signal.SIGCONT)
@@ -243,7 +245,10 @@ class TestSlabLifecycle:
                 )
             seen |= pooled_slabs(fl)
             assert seen and not seen & retired
-            assert fl.stats().frontend.failed == 0
+            stats = fl.stats()
+            assert stats.frontend.failed == 0
+            assert stats.failovers == 1
+            assert stats.parent_fallbacks == 0
 
     @pytest.mark.parametrize("drain", [True, False])
     def test_close_unlinks_every_slab(self, drain):

@@ -341,51 +341,6 @@ class TestMetricsExport:
         assert _label('he said "hi"\n') == r'he said \"hi\"\n'
         assert _label("back\\slash") == r"back\\slash"
 
-    def test_planner_engine_counts_exported(self):
-        # A planner-backed service records one selection per dispatched
-        # batch; those counts must surface through stats(), the JSON
-        # payload, and the Prometheus rendering.
-        from repro.planner import StaticPlanner
-
-        with SortService(planner=StaticPlanner("fused"),
-                         batch_target_rows=4, linger_ms=0.5) as svc:
-            rng = np.random.default_rng(2)
-            futures = [svc.submit(rng.uniform(size=(1, 16)))
-                       for _ in range(3)]
-            for f in futures:
-                f.result(timeout=10)
-            stats = svc.stats()
-            metrics = collect_metrics(svc)
-        assert stats.planner_engine_counts
-        total = sum(
-            n
-            for engines in stats.planner_engine_counts.values()
-            for n in engines.values()
-        )
-        assert total == stats.batches
-        assert metrics["planner"]["engine_counts"] == {
-            shape: dict(engines)
-            for shape, engines in stats.planner_engine_counts.items()
-        }
-        text = render_prometheus(metrics)
-        selected = [
-            line for line in text.splitlines()
-            if line.startswith("repro_service_planner_selected_total{")
-        ]
-        assert selected
-        for line in selected:
-            assert 'shape_class="' in line and 'engine="' in line
-
-    def test_plannerless_backend_exports_empty_counts(self):
-        from repro.core import GpuArraySort
-
-        with SortService(backend=GpuArraySort(),  # no planner attached
-                         batch_target_rows=4, linger_ms=0.5) as svc:
-            svc.submit(np.zeros((2, 8), dtype=np.float32))
-            svc.flush()
-            assert svc.stats().planner_engine_counts == {}
-            assert collect_metrics(svc)["planner"]["engine_counts"] == {}
-
     def test_tenant_backlog_surface(self):
         with SortService(batch_target_rows=64, linger_ms=100.0) as svc:
             svc.submit(np.zeros((3, 8), dtype=np.float32), tenant="x")
