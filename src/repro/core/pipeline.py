@@ -25,7 +25,7 @@ up/down do not contend with each other).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 

@@ -41,7 +41,6 @@ integers.  All mutable state is guarded by one lock.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np

@@ -327,8 +327,3 @@ def worker_main(worker_id: int, conn, cfg: WorkerConfig) -> None:
             service.close(drain=True)
         finally:
             send(("stopped", worker_id))
-
-
-def nbytes_for(rows: int, row_len: int, dtype: np.dtype) -> int:
-    """Byte size of one two-region request slab (input + output halves)."""
-    return 2 * int(rows) * int(row_len) * int(np.dtype(dtype).itemsize)

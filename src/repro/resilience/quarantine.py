@@ -14,7 +14,6 @@ streaming sorter can use it without an import cycle.
 from __future__ import annotations
 
 import dataclasses
-import threading
 from typing import Dict, Iterator, List, Optional
 
 import numpy as np

@@ -34,6 +34,11 @@ A lane becomes *ready* when either
   trickle traffic), or
 * the service is draining (flush/close).
 
+Each lane keeps its queued rows as a running count, and
+:meth:`DynamicBatcher.add` returns it: ``SortService.submit`` reads it
+on every request to tell one that fills its lane (and must wake the
+batcher thread) from one that only joins it.
+
 This module is deliberately free of clocks and futures: every method
 takes ``now`` explicitly, so the whole decision surface is unit testable
 with a synthetic clock.  :class:`~repro.service.SortService` owns the
@@ -49,7 +54,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import threading
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -106,10 +110,8 @@ class Lane:
         self.key = key
         #: Arrival order is preserved; EDF ordering is applied at pop time.
         self.requests: List[QueuedRequest] = []
-
-    @property
-    def rows(self) -> int:
-        return sum(r.rows for r in self.requests)
+        #: Queued rows, kept by the batcher's add/pop/shed (read per submit).
+        self.rows = 0
 
     @property
     def oldest_enqueued_at(self) -> float:
@@ -244,7 +246,8 @@ class DynamicBatcher:
                 self._tenant_rows.pop(tenant, None)
                 self._tenant_requests.pop(tenant, None)
 
-    def add(self, request: QueuedRequest) -> None:
+    def add(self, request: QueuedRequest) -> int:
+        """Queue ``request`` in its lane; return the lane's rows after it."""
         key = self.lane_key(request.arrays)
         tenant = request.tenant
         weight = self.tenant_weight(tenant)
@@ -264,8 +267,10 @@ class DynamicBatcher:
             if lane is None:
                 lane = self._lanes[key] = Lane(key)
             lane.requests.append(request)
+            lane.rows += request.rows
             self.total_rows += request.rows
             self.total_requests += 1
+            return lane.rows
 
     def drop_all(self) -> List[QueuedRequest]:
         """Remove and return every queued request (close without drain)."""
@@ -296,6 +301,7 @@ class DynamicBatcher:
                 for request in lane.requests:
                     if request.deadline is not None and request.deadline < now:
                         shed.append(request)
+                        lane.rows -= request.rows
                         self._forget_locked(request)
                     else:
                         keep.append(request)
@@ -379,6 +385,7 @@ class DynamicBatcher:
                 rows += request.rows
             taken_ids = {id(r) for r in taken}
             lane.requests = [r for r in lane.requests if id(r) not in taken_ids]
+            lane.rows -= rows
             if not lane.requests:
                 del self._lanes[lane.key]
             for request in taken:

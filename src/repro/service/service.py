@@ -9,7 +9,12 @@ over one pre-assembled batch.  :class:`SortService` is the missing
 layer: many callers ``submit()`` small requests concurrently, a
 background batcher coalesces them into batches of
 :data:`DEFAULT_BATCH_TARGET_ROWS` rows, one sort runs per batch, and the
-result is demultiplexed back to each caller's ``Future``.
+result is demultiplexed back to each caller's ``Future``.  A submit
+wakes the batcher thread only when it changes the thread's next step:
+the queue was empty, the request fills its lane to the target, or it
+falls due (deadline) before the thread's timed wait ends.  Any other
+request just joins its lane, so the wakeup is paid per batch, not per
+request.
 
 Composition, not bypass:
 
@@ -47,6 +52,7 @@ tenant and exported by :mod:`repro.service.metrics`.
 from __future__ import annotations
 
 import dataclasses
+import math
 import threading
 import time
 from concurrent.futures import Future
@@ -62,7 +68,6 @@ from .errors import (
     QuarantinedError,
     RejectedError,
     ServiceClosedError,
-    ServiceError,
 )
 from .stats import ServiceStats, StatsRecorder
 
@@ -274,6 +279,9 @@ class SortService:
         self._draining = False  # guarded-by: _wakeup, _lock
         self._flushing = 0  # guarded-by: _wakeup, _lock  (pending flush() calls)
         self._inflight = False  # guarded-by: _wakeup, _lock  (batch being sorted)
+        # When the batcher thread's wait ends: inf = untimed (empty
+        # queue), -inf = not waiting (it re-reads the queue before it does).
+        self._sleep_until = -math.inf  # guarded-by: _wakeup, _lock
         self._worker = threading.Thread(
             target=self._run, name="repro-sort-service", daemon=True
         )
@@ -404,9 +412,20 @@ class SortService:
                 tenant=tenant,
             )
             self._seq += 1
-            self._batcher.add(request)
+            lane_rows = self._batcher.add(request)
             self._recorder.record_submitted(tenant=tenant, rows=rows)
-            self._wakeup.notify_all()
+            # Wake the batcher thread only if this request changes what it
+            # does next: it fills its lane, or it falls due before the
+            # thread's wait ends (always so when the wait is untimed).  The
+            # wait ends at or before every queued request's linger expiry
+            # and deadline, and this request's linger expiry is after all
+            # of those, so a request without an earlier deadline that joins
+            # a non-empty queue would wake the thread only to sleep again.
+            due = now + self._batcher.linger_s
+            if request.deadline is not None:
+                due = min(due, request.deadline)
+            if lane_rows >= self.batch_target_rows or due < self._sleep_until:
+                self._wakeup.notify_all()
         return future
 
     def flush(self, timeout: Optional[float] = None) -> bool:
@@ -518,7 +537,9 @@ class SortService:
                         break
                     event_at = self._batcher.next_event_at(now)
                     timeout = None if event_at is None else max(0.0, event_at - now)
+                    self._sleep_until = math.inf if event_at is None else event_at
                     self._wakeup.wait(timeout)
+                    self._sleep_until = -math.inf
                     continue
                 requests = self._batcher.pop_batch(lane, now) if lane else []
                 if requests:

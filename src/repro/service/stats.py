@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import threading
 from typing import Dict, List, Optional
 
 import numpy as np

@@ -16,9 +16,10 @@ statically, over the AST, on every ``make lint``:
 * ``scratch-escape`` — arena-backed buffers and demux row views must be
   copied before escaping a function, or the escape must be named in the
   checked ``baseline.toml`` (:mod:`.scratch_escape`);
-* ``nondeterminism`` / ``silent-except`` / ``mutable-default`` — the
-  determinism & hygiene audit (:mod:`.determinism`, :mod:`.hygiene`),
-  which also covers ``benchmarks/``;
+* ``nondeterminism`` / ``silent-except`` / ``mutable-default`` /
+  ``unused-import`` — the determinism & hygiene audit
+  (:mod:`.determinism`, :mod:`.hygiene`), which also covers
+  ``benchmarks/``;
 * ``lock-order`` — cycles in the whole-program may-acquire graph
   (:mod:`.lockorder`), diffable against the runtime-observed graph;
 * ``crash-safety`` — durable writes in ``outofcore/``/``planner/``

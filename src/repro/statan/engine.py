@@ -35,7 +35,11 @@ from .crashsafety import check_crash_safety
 from .determinism import check_nondeterminism
 from .findings import META_RULES, RULES, Finding
 from .guarded_by import check_guarded_by
-from .hygiene import check_mutable_default, check_silent_except
+from .hygiene import (
+    check_mutable_default,
+    check_silent_except,
+    check_unused_import,
+)
 from .lockorder import check_lock_order
 from .scratch_escape import check_scratch_escape
 from .suppress import CommentMarkers, scan_markers
@@ -120,6 +124,7 @@ def _file_rule_findings(
     raw.extend(check_nondeterminism(tree, path))
     raw.extend(check_silent_except(tree, path))
     raw.extend(check_mutable_default(tree, path))
+    raw.extend(check_unused_import(tree, path))
     if not _HYGIENE_ONLY_RE.search(path):
         raw.extend(check_guarded_by(tree, path, markers))
         raw.extend(check_scratch_escape(tree, path, markers))

@@ -5,10 +5,10 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional
 
-#: Rule id -> one-line description.  ``statan``'s analysis rules are the
-#: first five; the remaining ids are *meta* rules the engine itself
-#: emits about suppressions and the baseline — they cannot be
-#: suppressed, otherwise a stale allowlist could silence itself.
+#: Rule id -> one-line description.  ``statan``'s analysis rules come
+#: first, through ``crash-safety``; the remaining ids are *meta* rules
+#: the engine itself emits about suppressions and the baseline — they
+#: cannot be suppressed, otherwise a stale allowlist could silence itself.
 RULES: Dict[str, str] = {
     "guarded-by": (
         "attribute annotated '# guarded-by: <lock>' accessed outside a "
@@ -27,6 +27,10 @@ RULES: Dict[str, str] = {
     ),
     "mutable-default": (
         "mutable default argument ([], {}, set()) shared across calls"
+    ),
+    "unused-import": (
+        "module-level import never used (outside __init__.py, __all__ "
+        "and string annotations)"
     ),
     "lock-order": (
         "cycle in the whole-program lock acquisition (may-acquire) "

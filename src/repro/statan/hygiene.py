@@ -1,4 +1,5 @@
-"""Hygiene audit, repo-wide: ``silent-except`` and ``mutable-default``.
+"""Hygiene audit, repo-wide: ``silent-except``, ``mutable-default`` and
+``unused-import``.
 
 * ``silent-except`` — a bare ``except:`` (catches ``KeyboardInterrupt``
   and ``SystemExit``), or an ``except Exception:`` / ``except
@@ -8,16 +9,22 @@
   forbidden.
 * ``mutable-default`` — ``def f(x=[])`` / ``={}`` / ``=set()`` share one
   object across calls; the classic aliasing bug.
+* ``unused-import`` — a module-level import whose name is never read
+  in the module, named in ``__all__``, or used in a string annotation.
+  ``__future__`` imports and ``__init__.py`` files (re-exports) are
+  skipped; an import kept for its side effect takes a suppression.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List
+from pathlib import PurePosixPath
+from typing import Iterator, List, Set
 
 from .findings import Finding
 
-__all__ = ["check_silent_except", "check_mutable_default"]
+__all__ = ["check_silent_except", "check_mutable_default",
+           "check_unused_import"]
 
 
 def _is_pass_only(body: List[ast.stmt]) -> bool:
@@ -90,6 +97,85 @@ def check_mutable_default(tree: ast.Module, path: str) -> List[Finding]:
                         f"mutable default argument in {node.name}() is "
                         "shared across calls; default to None and build "
                         "inside the function"
+                    ),
+                ))
+    return findings
+
+
+def _module_imports(body: List[ast.stmt]) -> Iterator[ast.stmt]:
+    """Import statements at module level, including inside top-level
+    ``if``/``try`` blocks (optional dependencies, ``TYPE_CHECKING``)."""
+    for stmt in body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            yield stmt
+        elif isinstance(stmt, ast.If):
+            yield from _module_imports(stmt.body + stmt.orelse)
+        elif isinstance(stmt, ast.Try):
+            blocks = stmt.body + stmt.orelse + stmt.finalbody
+            for handler in stmt.handlers:
+                blocks = blocks + handler.body
+            yield from _module_imports(blocks)
+
+
+def _string_annotation_names(annotation: ast.AST) -> Iterator[str]:
+    """Names read by the string literals inside one annotation."""
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                parsed = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            for inner in ast.walk(parsed):
+                if isinstance(inner, ast.Name):
+                    yield inner.id
+
+
+def _used_names(tree: ast.Module) -> Set[str]:
+    used: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        # ast.arg and ast.AnnAssign carry .annotation, function defs .returns.
+        for annotation in (getattr(node, "annotation", None),
+                           getattr(node, "returns", None)):
+            if annotation is not None:
+                used.update(_string_annotation_names(annotation))
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+        ):
+            used.update(
+                elt.value for elt in node.value.elts
+                if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+            )
+    return used
+
+
+def check_unused_import(tree: ast.Module, path: str) -> List[Finding]:
+    if PurePosixPath(path).name == "__init__.py":
+        return []
+    used = _used_names(tree)
+    findings: List[Finding] = []
+    for stmt in _module_imports(tree.body):
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        for alias in stmt.names:
+            if alias.name == "*":
+                continue
+            if alias.asname is not None:
+                bound = alias.asname
+            elif isinstance(stmt, ast.Import):
+                bound = alias.name.split(".")[0]
+            else:
+                bound = alias.name
+            if bound not in used:
+                findings.append(Finding(
+                    rule="unused-import", path=path, line=alias.lineno,
+                    message=(
+                        f"'{bound}' is imported but never used; delete "
+                        "the import"
                     ),
                 ))
     return findings

@@ -37,7 +37,7 @@ a reason — and the baseline is itself checked for staleness.
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Set
+from typing import List, Set
 
 from .findings import Finding
 from .suppress import CommentMarkers

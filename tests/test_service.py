@@ -506,3 +506,74 @@ class TestSortService:
         lane = batcher.ready_lane(now=0.0, drain=True)
         taken = batcher.pop_batch(lane, now=0.0)
         assert [r.seq for r in taken] == [1, 0]
+
+
+class TestBatcherWakeups:
+    """A submit wakes the batcher thread only when it changes the thread's
+    next step: an empty queue, a filled lane, or an earlier deadline."""
+
+    def test_joining_a_lingering_lane_does_not_wake_the_thread(
+        self, monkeypatch
+    ):
+        passes = []
+        ready_lane = DynamicBatcher.ready_lane
+
+        def counting(self, *args, **kwargs):
+            passes.append(1)
+            return ready_lane(self, *args, **kwargs)
+
+        monkeypatch.setattr(DynamicBatcher, "ready_lane", counting)
+        with SortService(batch_target_rows=1024,
+                         linger_ms=60_000.0) as service:
+            for _ in range(50):
+                service.submit(np.zeros((1, 8), dtype=np.float32))
+                time.sleep(0.002)  # room for a woken thread to run
+            # One pass at start (empty queue), one for the first submit.
+            assert len(passes) <= 3
+            assert service.flush(timeout=30)
+
+    def test_filling_the_lane_dispatches_at_once(self, rng):
+        with SortService(batch_target_rows=8, linger_ms=60_000.0) as service:
+            first = service.submit(rng.random((4, 16)).astype(np.float32))
+            time.sleep(0.05)  # the thread is now in its 60 s wait
+            assert not first.done()
+            second = service.submit(rng.random((4, 16)).astype(np.float32))
+            first.result(timeout=10)
+            second.result(timeout=10)
+
+    def test_earlier_deadline_is_shed_on_time(self):
+        with SortService(batch_target_rows=1024,
+                         linger_ms=60_000.0) as service:
+            service.submit(np.zeros((1, 8), dtype=np.float32))
+            time.sleep(0.05)  # the thread is now in its 60 s wait
+            t0 = time.monotonic()
+            late = service.submit(np.zeros((1, 8), dtype=np.float32),
+                                  deadline=0.05)
+            with pytest.raises(DeadlineExceededError) as exc_info:
+                late.result(timeout=10)
+            assert time.monotonic() - t0 < 5.0
+            assert exc_info.value.stage == "queued"
+            assert service.flush(timeout=30)
+
+    def test_second_lane_does_not_delay_the_first(self):
+        dispatched = []
+
+        class SpyBackend:
+            def sort(self, batch):
+                dispatched.append((batch.shape[1], time.monotonic()))
+                from repro.core import GpuArraySort
+
+                return GpuArraySort(SortConfig()).sort(batch)
+
+        with SortService(backend=SpyBackend(), batch_target_rows=1024,
+                         linger_ms=600.0) as service:
+            t0 = time.monotonic()
+            first = service.submit(np.zeros((1, 8), dtype=np.float32))
+            time.sleep(0.3)
+            second = service.submit(np.zeros((1, 16), dtype=np.float32))
+            first.result(timeout=10)
+            second.result(timeout=10)
+        assert [row_len for row_len, _ in dispatched] == [8, 16]
+        # The first lane goes at its own linger expiry (0.6 s), not the
+        # second lane's (0.9 s).
+        assert dispatched[0][1] - t0 < 0.85

@@ -305,8 +305,10 @@ class TestNondeterminism:
         assert findings == []
 
     def test_random_import_fires(self):
-        assert rules_of(run("import random\n")) == ["nondeterminism"]
-        assert rules_of(run("from random import shuffle\n")) == [
+        assert rules_of(run("import random\nRNG = random.Random\n")) == [
+            "nondeterminism"
+        ]
+        assert rules_of(run("from random import shuffle\nMIX = shuffle\n")) == [
             "nondeterminism"
         ]
 
@@ -411,6 +413,58 @@ class TestHygiene:
 
     def test_none_default_is_fine(self):
         findings = run("def f(x=None):\n    return x or []\n", path=MISC)
+        assert findings == []
+
+    def test_unused_import_fires(self):
+        findings = run(
+            """
+            import os
+            import sys as system
+            from json import (
+                dumps,
+                loads,
+            )
+            try:
+                import numpy as np
+            except ImportError:
+                np = None
+
+            def f():
+                return os.getcwd(), dumps
+            """,
+            path=MISC,
+        )
+        assert [(f.rule, f.line) for f in findings] == [
+            ("unused-import", 3),   # system
+            ("unused-import", 6),   # loads
+            ("unused-import", 9),   # np: only rebound, never read
+        ]
+
+    def test_used_imports_are_fine(self):
+        findings = run(
+            """
+            from __future__ import annotations
+
+            import os.path
+            from typing import TYPE_CHECKING, Optional
+
+            if TYPE_CHECKING:
+                from collections import OrderedDict
+            from json import dumps
+
+            __all__ = ["dumps"]
+
+            def f(x: "Optional[OrderedDict]") -> None:
+                return os.path.basename(x)
+            """,
+            path=MISC,
+        )
+        assert findings == []
+
+    def test_init_reexports_are_skipped(self):
+        findings = run(
+            "from .mod import thing\n", path="src/repro/analysis/__init__.py"
+        )
         assert findings == []
 
 
@@ -551,7 +605,7 @@ class TestEngineAndBaseline:
     def test_analyze_paths_relative_labels(self, tmp_path):
         pkg = tmp_path / "src" / "repro" / "core"
         pkg.mkdir(parents=True)
-        (pkg / "bad.py").write_text("import random\n")
+        (pkg / "bad.py").write_text("import random\nRNG = random.Random\n")
         (pkg / "ok.py").write_text("x = 1\n")
         result = analyze_paths([tmp_path / "src"], root=tmp_path)
         assert isinstance(result, AnalysisResult)
