@@ -2,7 +2,9 @@
 
 PYTHON ?= python
 
-.PHONY: install check lint statan sanitize test test-resilience test-service bench bench-claims bench-smoke bench-gate bench-hotpath planner-gate radix-gate service-gate bench-service chaos-smoke chaos-gate bench-chaos fleet-smoke fleet-gate fleet-soak bench-fleet capacity-smoke capacity-gate bench-capacity perfbench report examples figures table1 clean
+# The per-driver targets come from three pattern rules (see below); GNU
+# make applies no pattern rule to a .PHONY target, so they are not listed.
+.PHONY: install check lint statan sanitize test test-resilience test-service bench bench-claims bench-smoke bench-gate fleet-soak perfbench report examples figures table1 clean
 
 # Smoke benchmark artifacts are throwaway sanity outputs; they go to the
 # temp dir, never the repo root (gate artifacts ARE committed).
@@ -11,11 +13,15 @@ SMOKE_DIR ?= $(if $(TMPDIR),$(TMPDIR),/tmp)
 install:
 	pip install -e . --no-build-isolation
 
+# The five benchmark drivers, benchmarks/bench_<name>.py, each owning a
+# committed BENCH_<name>.json.
+DRIVERS = hotpath service chaos fleet capacity
+
 # The default pre-PR gate: static analysis first (fails in seconds),
-# then the test suite, the sanitized checked-build subset, then the
-# radix and fleet gates re-applied to the committed benchmark artifacts
-# (no re-benchmarking; seconds each).
-check: lint test sanitize radix-gate fleet-gate capacity-gate
+# then the test suite, the sanitized checked-build subset, then every
+# driver's gates re-applied to its committed benchmark artifact (no
+# re-benchmarking; seconds each).
+check: lint test sanitize $(DRIVERS:%=%-gate)
 
 # ruff and mypy run when installed (CI installs them; a bare container
 # may not have them) — statan always runs, it is stdlib-only.
@@ -52,98 +58,54 @@ test-resilience:
 test-service:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -m service -q
 
-# Seeded small-grid chaos run: the chaos-marked tests plus one smoke
-# cell of the live harness, schema-checked but not gated.  A live
-# faulted/baseline p99 ratio over a few hundred requests is luck: it
-# ranged 0.33-6.18 over ten live chaos-mid runs on one quiet host.  The
-# SLO gate is chaos-gate, on the committed artifact.  Seconds; safe for
-# every CI run.
-chaos-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/ -m chaos -q
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_chaos.py --grid smoke \
-		--out $(SMOKE_DIR)/BENCH_chaos_smoke.json
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_chaos.py \
-		--check-schema $(SMOKE_DIR)/BENCH_chaos_smoke.json
-
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 bench-claims:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-disable -s
 
-# Tiny grid + v2 schema self-check (incl. the planner column); seconds.
-bench-smoke:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_hotpath.py --grid smoke \
-		--repeats 2 --out $(SMOKE_DIR)/BENCH_hotpath_smoke.json
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_hotpath.py \
-		--check-schema $(SMOKE_DIR)/BENCH_hotpath_smoke.json
+# <driver>-gate: re-apply every gate of bench_<driver>.py to the
+# committed BENCH_<driver>.json and re-validate it (no re-benchmarking).
+# The gate thresholds are constants in each driver's GATES.
+%-gate:
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_$*.py --check-gate BENCH_$*.json
 
-# Perf-regression gate: fails if the fused path is slower than the
-# unfused path anywhere on the reference grid, if the adaptive planner
-# misses the best static engine by more than 10%, or if radix loses its
-# expected large-n cells.
+# <driver>-smoke: the driver's marker tests (where it has a marker), then
+# its smoke grid written to the temp dir and schema-checked; gates are
+# not applied.  Seconds to a minute or two; no artifact left in the repo.
+# The chaos smoke cell's live faulted/baseline p99 ratio is luck: it
+# ranged 0.33-6.18 over ten live chaos-mid runs on one quiet host, so
+# the chaos SLO gate is chaos-gate, on the committed artifact.
+SMOKE_MARKER_chaos = chaos
+SMOKE_MARKER_fleet = fleet
+SMOKE_MARKER_capacity = capacity
+SMOKE_ARGS_hotpath = --repeats 2
+SMOKE_ARGS_fleet = --linger-ms 5
+%-smoke:
+	$(if $(SMOKE_MARKER_$*),PYTHONPATH=src $(PYTHON) -m pytest tests/ -m $(SMOKE_MARKER_$*) -q)
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_$*.py --grid smoke \
+		$(SMOKE_ARGS_$*) --out $(SMOKE_DIR)/BENCH_$*_smoke.json
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_$*.py \
+		--check-schema $(SMOKE_DIR)/BENCH_$*_smoke.json
+
+# bench-<driver>: regenerate the committed BENCH_<driver>.json, gated
+# live.  Minutes each.  Only the hotpath fig4 grid carries the paper's
+# Fig. 4 anchor cell (N=1e5, n=1000, float32) that
+# tests/test_bench_hotpath.py pins, so only it may write BENCH_hotpath.json.
+BENCH_ARGS_hotpath = --grid fig4 --repeats 3
+bench-%:
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_$*.py \
+		$(or $(BENCH_ARGS_$*),--grid load) --gate --out BENCH_$*.json
+
+bench-smoke: hotpath-smoke
+
+# Perf-regression gate, live, on the hotpath reference grid: fused must
+# never be slower than unfused, and radix must beat fused by 1.5x on its
+# expected large-n cells.  The report goes to the temp dir, never to the
+# committed artifact.
 bench-gate:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_hotpath.py --grid reference \
-		--repeats 3 --gate --gate-planner --gate-radix \
-		--out BENCH_hotpath.json
-
-# Planner-only gate on the reference grid: the adaptive planner must be
-# within 10% of the best static engine on every cell.
-planner-gate:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_hotpath.py --grid reference \
-		--repeats 3 --gate-planner
-
-# Radix gate re-applied to the committed artifact: on every
-# radix_expected cell the radix engine beat the fused serial engine by
-# >= 1.5x and the adaptive planner picked radix there without a flag.
-radix-gate:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_hotpath.py \
-		--check-radix-gate BENCH_hotpath.json
-
-# Serving gate: the dynamically-batched SortService must deliver >= 2x
-# the unbatched per-request throughput at the mid traffic cell, with
-# p99 latency inside the linger + deadline budget.
-service-gate:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_service.py --grid load \
-		--gate
-
-# Full serving artifact — this is what the committed BENCH_service.json
-# was produced with.
-bench-service:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_service.py --grid load \
-		--gate --out BENCH_service.json
-
-# Chaos gate on the committed artifact: at the chaos-mid cell,
-# quarantined rows failed only the poisoning tenant's requests, faulted
-# p99 stayed within 2x the fault-free p99, and the flooding tenant
-# pushed no innocent tenant's rejection rate above 5%.
-chaos-gate:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_chaos.py \
-		--check-gate BENCH_chaos.json
-
-# Full chaos artifact — this is what the committed BENCH_chaos.json was
-# produced with (gated live while generating).
-bench-chaos:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_chaos.py --grid load \
-		--gate --out BENCH_chaos.json
-
-# Fleet smoke: the fleet-marked tests (router units, e2e, failover,
-# metrics) plus the smoke bench grid written to the temp dir and
-# schema-checked.  A minute or two; no artifact left in the repo.
-fleet-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/ -m fleet -q
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_fleet.py --grid smoke \
-		--linger-ms 5 --out $(SMOKE_DIR)/BENCH_fleet_smoke.json
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_fleet.py \
-		--check-schema $(SMOKE_DIR)/BENCH_fleet_smoke.json
-
-# Fleet gate re-applied to the committed artifact (no re-benchmarking):
-# >= 3x single-worker throughput at 4 workers, p99 bounded under 2x
-# single-worker load, and the failover drain completed every accepted
-# request byte-correctly with zero drops.
-fleet-gate:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_fleet.py \
-		--check-gate BENCH_fleet.json
+		--repeats 3 --gate --out $(SMOKE_DIR)/BENCH_hotpath_reference.json
 
 # Fleet failover soak: tests/test_fleet_failover.py RUNS times in a row
 # beside BUSY pure-Python spin processes (a loaded host is where a
@@ -162,45 +124,6 @@ fleet-soak:
 			|| { echo "fleet-soak: run $$run of $(RUNS) FAILED"; exit 1; }; \
 	done; \
 	echo "fleet-soak: $(RUNS) of $(RUNS) runs passed"
-
-# Full fleet artifact — this is what the committed BENCH_fleet.json was
-# produced with (gated live while generating; several minutes).
-bench-fleet:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_fleet.py --grid load \
-		--gate --out BENCH_fleet.json
-
-# Capacity smoke: the capacity-marked tests (budget model, spill store,
-# resume/kill, RLIMIT_AS ceiling) plus the smoke bench grid written to
-# the temp dir and schema-checked.  A minute or so; no repo artifact.
-capacity-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/ -m capacity -q
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_capacity.py --grid smoke \
-		--out $(SMOKE_DIR)/BENCH_capacity_smoke.json
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_capacity.py \
-		--check-schema $(SMOKE_DIR)/BENCH_capacity_smoke.json
-
-# Capacity gate re-applied to the committed artifact (no
-# re-benchmarking): a batch >= 4x larger than its declared memory
-# budget sorted byte-identically through the spill path, and the
-# kill-resume cell completed from checkpoint with zero re-emitted
-# chunks.
-capacity-gate:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_capacity.py \
-		--check-gate BENCH_capacity.json
-
-# Full capacity artifact — this is what the committed
-# BENCH_capacity.json was produced with (gated live while generating).
-bench-capacity:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_capacity.py --grid load \
-		--gate --out BENCH_capacity.json
-
-# Full artifact including the paper's Fig. 4 anchor (N=1e5, n=1000,
-# float32); several minutes — this is what the committed
-# BENCH_hotpath.json was produced with.
-bench-hotpath:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_hotpath.py --grid fig4 \
-		--repeats 3 --gate --gate-planner --gate-radix \
-		--out BENCH_hotpath.json
 
 # The repo benchmark (BENCHMARK.json) on one workload over several
 # seeds: ROADMAP gates such as "batch x_npsort <= 1.05 on three seeds".

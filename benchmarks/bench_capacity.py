@@ -4,7 +4,7 @@
 Standalone (no pytest-benchmark): drives the capacity tier
 (:class:`repro.outofcore.CapacitySorter`) over a budget x batch-size
 grid and emits ``BENCH_capacity.json`` (schema ``bench-capacity/v1``) —
-the artifact ``make capacity-gate`` checks.
+the artifact ``make capacity-gate`` re-checks.
 
 Two cell kinds:
 
@@ -28,7 +28,7 @@ Usage
 -----
     PYTHONPATH=src python benchmarks/bench_capacity.py --grid smoke
     PYTHONPATH=src python benchmarks/bench_capacity.py --grid load --gate
-    PYTHONPATH=src python benchmarks/bench_capacity.py --grid load --out BENCH_capacity.json
+    PYTHONPATH=src python benchmarks/bench_capacity.py --grid load --gate --out BENCH_capacity.json
     PYTHONPATH=src python benchmarks/bench_capacity.py --check-gate BENCH_capacity.json
 """
 
@@ -37,7 +37,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import signal
 import subprocess
 import sys
@@ -52,6 +51,8 @@ if str(_SRC) not in sys.path:
 
 import numpy as np
 
+import _artifact
+from _artifact import NUM, ByKind, Gate
 from repro.outofcore import (
     BatchFile,
     CapacitySorter,
@@ -337,147 +338,109 @@ def run_grid(grid: str, *, seed: int, work_dir: Path) -> dict:
         "schema": SCHEMA,
         "grid": grid,
         "seed": seed,
-        "host": {
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-        },
+        "host": _artifact.host_block(),
         "results": results,
     }
 
 
-def check_schema(report: dict) -> list:
-    """Return a list of schema violations (empty == valid)."""
-    errors = []
-    if report.get("schema") != SCHEMA:
-        errors.append(f"schema must be {SCHEMA!r}, got {report.get('schema')!r}")
-    results = report.get("results")
-    if not isinstance(results, list) or not results:
-        errors.append("results must be a non-empty list")
-        results = []
-    oversub_required = {
-        "name": str,
-        "budget_bytes": int,
-        "rows": int,
-        "row_len": int,
-        "total_bytes": int,
-        "oversubscription": (int, float),
-        "chunk_rows": int,
-        "num_chunks": int,
-        "rows_per_gb": int,
-        "completed": bool,
-        "byte_identical": bool,
-        "stats": dict,
-    }
-    kill_required = {
-        "name": str,
-        "budget_bytes": int,
-        "rows": int,
-        "killed_mid_run": bool,
-        "pre_kill_chunks": int,
-        "chunks_resumed": int,
-        "reemitted_chunks": int,
-        "completed": bool,
-        "byte_identical": bool,
-    }
-    for i, cell in enumerate(results):
-        kind = cell.get("kind")
-        if kind == "oversubscription":
-            required = oversub_required
-        elif kind == "kill-resume":
-            required = kill_required
-        else:
-            errors.append(
-                f"results[{i}].kind must be 'oversubscription' or "
-                f"'kill-resume', got {kind!r}"
-            )
-            continue
-        for key, typ in required.items():
-            if not isinstance(cell.get(key), typ):
-                errors.append(f"results[{i}].{key} missing or not {typ}")
-    if "gate" in report:
-        gate = report["gate"]
-        if not isinstance(gate, dict) or not isinstance(gate.get("passed"), bool):
-            errors.append("gate must be a dict with a boolean 'passed'")
-    return errors
+OVERSUB_SPEC = {
+    "name": str,
+    "budget_bytes": int,
+    "rows": int,
+    "row_len": int,
+    "total_bytes": int,
+    "oversubscription": NUM,
+    "chunk_rows": int,
+    "num_chunks": int,
+    "rows_per_gb": int,
+    "completed": bool,
+    "byte_identical": bool,
+    "stats": dict,
+}
+KILL_SPEC = {
+    "name": str,
+    "budget_bytes": int,
+    "rows": int,
+    "killed_mid_run": bool,
+    "pre_kill_chunks": int,
+    "chunks_resumed": int,
+    "reemitted_chunks": int,
+    "completed": bool,
+    "byte_identical": bool,
+}
+REPORT = {
+    "schema": SCHEMA,
+    "results": [ByKind({"oversubscription": OVERSUB_SPEC,
+                        "kill-resume": KILL_SPEC})],
+}
 
 
-def apply_gate(report: dict, min_ratio: float = GATE_MIN_RATIO) -> bool:
-    """Gate: a >= ``min_ratio`` oversubscribed byte-identical sort, and a
-    kill-resume cell completing from checkpoint with zero re-emits."""
-    failures = []
-    cells = report["results"]
-
-    oversub = [
-        c for c in cells
-        if c.get("kind") == "oversubscription"
+def _oversubscribed(report: dict, t) -> list:
+    """A completed, byte-identical cell at >= the floor's oversubscription."""
+    if any(
+        c.get("kind") == "oversubscription"
         and c.get("completed") and c.get("byte_identical")
-        and c.get("oversubscription", 0) >= min_ratio
-    ]
-    if not oversub:
-        failures.append(
-            f"no completed byte-identical oversubscription cell at >= "
-            f"{min_ratio}x budget"
-        )
+        and c.get("oversubscription", 0) >= t["min_oversubscription"]
+        for c in report["results"]
+    ):
+        return []
+    return [f"no completed byte-identical oversubscription cell at >= "
+            f"{t['min_oversubscription']}x budget"]
 
-    kill = next((c for c in cells if c.get("kind") == "kill-resume"), None)
+
+def _kill_resume(report: dict, t) -> list:
+    """The resumed run completes from checkpoint with zero re-emits."""
+    kill = next((c for c in report["results"]
+                 if c.get("kind") == "kill-resume"), None)
     if kill is None:
-        failures.append("kill-resume cell missing")
-    else:
-        if not kill.get("killed_mid_run"):
-            failures.append(
-                "kill-resume: child was not killed mid-run (no committed "
-                "chunks observed before exit)"
-            )
-        if not kill.get("completed"):
-            failures.append("kill-resume: resumed run did not complete")
-        if kill.get("chunks_resumed", 0) < 1:
-            failures.append("kill-resume: resumed run adopted no chunks")
-        if kill.get("reemitted_chunks", 1) != 0:
-            failures.append(
-                f"kill-resume: {kill.get('reemitted_chunks')} committed "
-                "chunk(s) re-emitted after resume"
-            )
-        if not kill.get("byte_identical"):
-            failures.append("kill-resume: final output not byte-identical")
+        return ["kill-resume cell missing"]
+    failures = []
+    if not kill.get("killed_mid_run"):
+        failures.append(
+            "kill-resume: child was not killed mid-run (no committed "
+            "chunks observed before exit)"
+        )
+    if not kill.get("completed"):
+        failures.append("kill-resume: resumed run did not complete")
+    if kill.get("chunks_resumed", 0) < 1:
+        failures.append("kill-resume: resumed run adopted no chunks")
+    if kill.get("reemitted_chunks", 1) != 0:
+        failures.append(
+            f"kill-resume: {kill.get('reemitted_chunks')} committed "
+            "chunk(s) re-emitted after resume"
+        )
+    if not kill.get("byte_identical"):
+        failures.append("kill-resume: final output not byte-identical")
+    return failures
 
-    best = max(
-        (c.get("oversubscription", 0) for c in cells
+
+def _best_oversubscription(report: dict) -> dict:
+    return {"best_oversubscription": max(
+        (c.get("oversubscription", 0) for c in report["results"]
          if c.get("kind") == "oversubscription"),
         default=0,
-    )
-    report["gate"] = {
-        "min_oversubscription": min_ratio,
-        "best_oversubscription": best,
-        "passed": not failures,
-        "failures": failures,
-    }
-    return not failures
+    )}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--grid", choices=sorted(GRIDS), default="load")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", type=Path, default=None)
+GATES = (
+    Gate(
+        "gate",
+        {"min_oversubscription": GATE_MIN_RATIO},
+        (_oversubscribed, _kill_resume),
+        derive=_best_oversubscription,
+    ),
+)
+
+
+def check_schema(report: dict) -> list:
+    """Return a list of schema violations (empty == valid)."""
+    return _artifact.check_schema(report, REPORT, GATES)
+
+
+def _options(parser) -> None:
     parser.add_argument(
         "--work-dir", type=Path, default=None,
         help="scratch directory for inputs/spill (default: a temp dir)",
-    )
-    parser.add_argument(
-        "--gate", action="store_true",
-        help="exit 1 unless the oversubscription and kill-resume gates pass",
-    )
-    parser.add_argument("--min-ratio", type=float, default=GATE_MIN_RATIO)
-    parser.add_argument(
-        "--check-schema", type=Path, metavar="JSON",
-        help="validate an existing report file and exit (no benchmarking)",
-    )
-    parser.add_argument(
-        "--check-gate", type=Path, metavar="JSON",
-        help="re-evaluate the gate on an existing report file and exit "
-             "(no benchmarking)",
     )
     # Child-mode flags (internal: the kill-resume cell's subprocess).
     parser.add_argument("--child-run", type=Path, help=argparse.SUPPRESS)
@@ -491,64 +454,26 @@ def main(argv=None) -> int:
                         help=argparse.SUPPRESS)
     parser.add_argument("--child-resume", action="store_true",
                         help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
 
+
+def _run(args) -> dict:
     if args.child_run is not None:
-        return run_child(args)
-
-    if args.check_schema is not None:
-        report = json.loads(args.check_schema.read_text())
-        errors = check_schema(report)
-        for err in errors:
-            print(f"schema error: {err}", file=sys.stderr)
-        print(f"{args.check_schema}: " + ("INVALID" if errors else "ok"))
-        return 1 if errors else 0
-
-    if args.check_gate is not None:
-        report = json.loads(args.check_gate.read_text())
-        errors = check_schema(report)
-        for err in errors:
-            print(f"schema error: {err}", file=sys.stderr)
-        if errors:
-            print(f"{args.check_gate}: INVALID")
-            return 1
-        ok = apply_gate(report, args.min_ratio)
-        for failure in report["gate"]["failures"]:
-            print(f"GATE FAIL: {failure}", file=sys.stderr)
-        print(f"{args.check_gate}: gate " + ("passed" if ok else "FAILED"))
-        return 0 if ok else 1
-
+        # The kill-resume cell's subprocess: one spill run, then exit.
+        raise SystemExit(run_child(args))
     print(f"bench_capacity grid={args.grid} seed={args.seed}", flush=True)
     if args.work_dir is not None:
         args.work_dir.mkdir(parents=True, exist_ok=True)
-        report = run_grid(args.grid, seed=args.seed, work_dir=args.work_dir)
-    else:
-        with tempfile.TemporaryDirectory(prefix="bench_capacity_") as tmp:
-            report = run_grid(args.grid, seed=args.seed, work_dir=Path(tmp))
-    ok = apply_gate(report, args.min_ratio) if args.gate else True
+        return run_grid(args.grid, seed=args.seed, work_dir=args.work_dir)
+    with tempfile.TemporaryDirectory(prefix="bench_capacity_") as tmp:
+        return run_grid(args.grid, seed=args.seed, work_dir=Path(tmp))
 
-    errors = check_schema(report)
-    if errors:  # self-check: the emitter must satisfy its own schema
-        for err in errors:
-            print(f"schema error: {err}", file=sys.stderr)
-        return 2
 
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out is not None:
-        args.out.write_text(text + "\n")
-        print(f"wrote {args.out}")
-    else:
-        print(text)
-
-    if args.gate:
-        gate = report["gate"]
-        for failure in gate["failures"]:
-            print(f"GATE FAIL: {failure}", file=sys.stderr)
-        print(
-            f"gate: {'passed' if gate['passed'] else 'FAILED'} "
-            f"(best oversubscription {gate['best_oversubscription']:.1f}x)"
-        )
-    return 0 if ok else 1
+def main(argv=None) -> int:
+    return _artifact.main(
+        argv, description=__doc__.splitlines()[0], grids=GRIDS,
+        default_grid="load", check=check_schema, gates=GATES, run=_run,
+        options=_options,
+    )
 
 
 if __name__ == "__main__":

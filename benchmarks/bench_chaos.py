@@ -28,10 +28,10 @@ non-zero unless, at the **chaos-mid** cell,
 * **isolation** — quarantined rows failed only the poisoning tenant's
   requests (zero cross-tenant quarantine errors), and the probe
   actually fired (the poison tenant saw at least one quarantine);
-* **latency** — faulted p99 is within ``--p99-budget-factor`` (default
-  2.0×) of the fault-free p99, over non-poison tenants;
-* **fairness** — no innocent tenant's rejection rate exceeded
-  ``--max-rejection-rate`` (default 0.05) during the flood phase.
+* **latency** — faulted p99 is within 2.0× the fault-free p99, over
+  non-poison tenants;
+* **fairness** — no innocent tenant's rejection rate exceeded 0.05
+  during the flood phase.
 
 Usage
 -----
@@ -43,10 +43,6 @@ Usage
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import sys
 from pathlib import Path
 
@@ -55,18 +51,20 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-import numpy as np
-
+import _artifact
+from _artifact import NUM, Gate, Opt
 from repro.service import (
     ChaosScenario,
     ChaosTenant,
     evaluate_slos,
     run_scenario,
 )
+from repro.service.chaos import (
+    DEFAULT_MAX_REJECTION_RATE,
+    DEFAULT_P99_BUDGET_FACTOR,
+)
 
 SCHEMA = "bench-chaos/v1"
-DEFAULT_P99_BUDGET_FACTOR = 2.0
-DEFAULT_MAX_REJECTION_RATE = 0.05
 
 # (name, requests_per_tenant, rate_rps, array_size).  ``chaos-mid`` is
 # the gated cell — enough traffic that faults land mid-stream and the
@@ -136,17 +134,12 @@ def make_scenario(name: str, requests: int, rate_rps: float,
 
 
 def run_cell(name: str, requests: int, rate_rps: float, array_size: int,
-             *, seed: int, p99_budget_factor: float,
-             max_rejection_rate: float) -> dict:
+             *, seed: int) -> dict:
     scenario = make_scenario(
         name, requests, rate_rps, array_size, seed=seed
     )
     report = run_scenario(scenario)
-    slos = evaluate_slos(
-        report,
-        p99_budget_factor=p99_budget_factor,
-        max_rejection_rate=max_rejection_rate,
-    )
+    slos = evaluate_slos(report)
     return {
         "name": name,
         "requests_per_tenant": requests,
@@ -159,15 +152,10 @@ def run_cell(name: str, requests: int, rate_rps: float, array_size: int,
     }
 
 
-def run_grid(grid: str, *, seed: int, p99_budget_factor: float,
-             max_rejection_rate: float) -> dict:
+def run_grid(grid: str, *, seed: int) -> dict:
     results = []
     for name, requests, rate_rps, array_size in GRIDS[grid]:
-        result = run_cell(
-            name, requests, rate_rps, array_size, seed=seed,
-            p99_budget_factor=p99_budget_factor,
-            max_rejection_rate=max_rejection_rate,
-        )
+        result = run_cell(name, requests, rate_rps, array_size, seed=seed)
         results.append(result)
         slos = result["slos"]
         ratio = slos["p99_ratio"]
@@ -184,61 +172,30 @@ def run_grid(grid: str, *, seed: int, p99_budget_factor: float,
         "schema": SCHEMA,
         "grid": grid,
         "seed": seed,
-        "host": {
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-        },
+        "host": _artifact.host_block(),
         "results": results,
     }
 
 
-def check_schema(report: dict) -> list:
-    """Return a list of schema violations (empty == valid)."""
-    errors = []
-    if report.get("schema") != SCHEMA:
-        errors.append(f"schema must be {SCHEMA!r}, got {report.get('schema')!r}")
-    results = report.get("results")
-    if not isinstance(results, list) or not results:
-        errors.append("results must be a non-empty list")
-        results = []
-    slo_required = {
+CELL = {
+    "name": str,
+    "requests_per_tenant": int,
+    "poison_tenant": str,
+    "flood_tenant": str,
+    "report": {"baseline": dict, "faulted": dict, "flood": dict},
+    "slos": {
         "cross_tenant_quarantines": int,
         "isolation_ok": bool,
         "latency_ok": bool,
         "fairness_ok": bool,
         "innocent_rejection_rates": dict,
         "ok": bool,
-    }
-    for i, cell in enumerate(results):
-        for key, typ in (
-            ("name", str),
-            ("requests_per_tenant", int),
-            ("poison_tenant", str),
-            ("flood_tenant", str),
-            ("report", dict),
-            ("slos", dict),
-        ):
-            if not isinstance(cell.get(key), typ):
-                errors.append(f"results[{i}].{key} missing or not {typ}")
-        slos = cell.get("slos")
-        if isinstance(slos, dict):
-            for key, typ in slo_required.items():
-                if not isinstance(slos.get(key), typ):
-                    errors.append(f"results[{i}].slos.{key} missing or not {typ}")
-            for key in ("baseline_p99_ms", "faulted_p99_ms", "p99_ratio"):
-                value = slos.get(key)
-                if value is not None and not isinstance(value, (int, float)):
-                    errors.append(
-                        f"results[{i}].slos.{key} must be numeric or null"
-                    )
-        block = cell.get("report")
-        if isinstance(block, dict):
-            for phase in ("baseline", "faulted", "flood"):
-                if phase not in block:
-                    errors.append(f"results[{i}].report.{phase} missing")
-    return errors
+        "baseline_p99_ms": Opt(NUM),
+        "faulted_p99_ms": Opt(NUM),
+        "p99_ratio": Opt(NUM),
+    },
+}
+REPORT = {"schema": SCHEMA, "results": [CELL]}
 
 
 def _poison_quarantined(cell: dict) -> int:
@@ -250,148 +207,92 @@ def _poison_quarantined(cell: dict) -> int:
         return 0
 
 
-def apply_gate(report: dict, *, p99_budget_factor: float,
-               max_rejection_rate: float,
-               cell_name: str = GATE_CELL) -> bool:
-    """Gate the mid chaos cell from the *stored numbers*, not verdicts.
-
-    Recomputing from ``cross_tenant_quarantines`` / ``p99_ratio`` /
-    ``innocent_rejection_rates`` means ``--check-gate`` on a committed
-    artifact enforces the thresholds passed *now*, and a hand-edited
-    ``ok: true`` cannot sneak past.
-    """
-    failures = []
-    cell = next(
-        (r for r in report["results"] if r["name"] == cell_name), None
-    )
+# The gate checks recompute from the *stored numbers*
+# (``cross_tenant_quarantines`` / ``p99_ratio`` /
+# ``innocent_rejection_rates``), never from the cell's stored ``ok``
+# verdicts, so a hand-edited ``ok: true`` cannot sneak past.
+def _isolation(report: dict, t) -> list:
+    cell = _artifact.find_cell(report, t["cell"])
     if cell is None:
-        failures.append(f"gate cell {cell_name!r} not in results "
-                        "(run with a grid that includes it)")
-    else:
-        slos = cell["slos"]
-        cross = slos.get("cross_tenant_quarantines")
-        if cross != 0:
-            failures.append(
-                f"{cell_name}: {cross} quarantine failures outside the "
-                f"poison tenant (isolation contract broken)"
-            )
-        if _poison_quarantined(cell) == 0:
-            failures.append(
-                f"{cell_name}: poison tenant saw no quarantines in the "
-                "faulted phase — the isolation probe never fired"
-            )
-        ratio = slos.get("p99_ratio")
-        if not isinstance(ratio, (int, float)):
-            failures.append(f"{cell_name}: no faulted/baseline p99 ratio recorded")
-        elif ratio > p99_budget_factor:
-            failures.append(
-                f"{cell_name}: faulted p99 {slos.get('faulted_p99_ms'):.2f} ms "
-                f"is {ratio:.2f}x the fault-free "
-                f"{slos.get('baseline_p99_ms'):.2f} ms "
-                f"(budget {p99_budget_factor:.2f}x)"
-            )
-        rates = slos.get("innocent_rejection_rates") or {}
-        for tenant, rate in sorted(rates.items()):
-            if rate > max_rejection_rate:
-                failures.append(
-                    f"{cell_name}: tenant {tenant!r} rejection rate "
-                    f"{rate:.3f} exceeds {max_rejection_rate:.3f} under flood"
-                )
-        if not rates:
-            failures.append(
-                f"{cell_name}: no innocent rejection rates recorded "
-                "(flood phase missing?)"
-            )
-    report["gate"] = {
-        "cell": cell_name,
-        "p99_budget_factor": p99_budget_factor,
-        "max_rejection_rate": max_rejection_rate,
-        "passed": not failures,
-        "failures": failures,
-    }
-    return not failures
+        return []
+    failures = []
+    cross = cell["slos"].get("cross_tenant_quarantines")
+    if cross != 0:
+        failures.append(
+            f"{t['cell']}: {cross} quarantine failures outside the "
+            f"poison tenant (isolation contract broken)"
+        )
+    if _poison_quarantined(cell) == 0:
+        failures.append(
+            f"{t['cell']}: poison tenant saw no quarantines in the "
+            "faulted phase — the isolation probe never fired"
+        )
+    return failures
 
 
-def _print_gate(report: dict) -> None:
-    gate = report["gate"]
-    for failure in gate["failures"]:
-        print(f"GATE FAIL: {failure}", file=sys.stderr)
-    print(f"gate: {'passed' if gate['passed'] else 'FAILED'} "
-          f"(cell={gate['cell']}, "
-          f"p99_budget_factor={gate['p99_budget_factor']}, "
-          f"max_rejection_rate={gate['max_rejection_rate']})")
+def _latency(report: dict, t) -> list:
+    cell = _artifact.find_cell(report, t["cell"])
+    if cell is None:
+        return []
+    slos = cell["slos"]
+    ratio = slos.get("p99_ratio")
+    if not isinstance(ratio, NUM):
+        return [f"{t['cell']}: no faulted/baseline p99 ratio recorded"]
+    if ratio > t["p99_budget_factor"]:
+        return [
+            f"{t['cell']}: faulted p99 {slos.get('faulted_p99_ms'):.2f} ms "
+            f"is {ratio:.2f}x the fault-free "
+            f"{slos.get('baseline_p99_ms'):.2f} ms "
+            f"(budget {t['p99_budget_factor']:.2f}x)"
+        ]
+    return []
+
+
+def _fairness(report: dict, t) -> list:
+    cell = _artifact.find_cell(report, t["cell"])
+    if cell is None:
+        return []
+    rates = cell["slos"].get("innocent_rejection_rates") or {}
+    if not rates:
+        return [f"{t['cell']}: no innocent rejection rates recorded "
+                "(flood phase missing?)"]
+    return [
+        f"{t['cell']}: tenant {tenant!r} rejection rate "
+        f"{rate:.3f} exceeds {t['max_rejection_rate']:.3f} under flood"
+        for tenant, rate in sorted(rates.items())
+        if rate > t["max_rejection_rate"]
+    ]
+
+
+GATES = (
+    Gate(
+        "gate",
+        {
+            "cell": GATE_CELL,
+            # The thresholds each cell's stored ``slos`` verdicts use.
+            "p99_budget_factor": DEFAULT_P99_BUDGET_FACTOR,
+            "max_rejection_rate": DEFAULT_MAX_REJECTION_RATE,
+        },
+        (_artifact.cells_present, _isolation, _latency, _fairness),
+    ),
+)
+
+
+def check_schema(report: dict) -> list:
+    """Return a list of schema violations (empty == valid)."""
+    return _artifact.check_schema(report, REPORT, GATES)
+
+
+def _run(args) -> dict:
+    print(f"bench_chaos grid={args.grid} seed={args.seed}", flush=True)
+    return run_grid(args.grid, seed=args.seed)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--grid", choices=sorted(GRIDS), default="load")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", type=Path, default=None)
-    parser.add_argument(
-        "--gate", action="store_true",
-        help="exit 1 unless the mid cell holds all three chaos SLOs",
+    return _artifact.main(
+        argv, description=__doc__.splitlines()[0], grids=GRIDS,
+        default_grid="load", check=check_schema, gates=GATES, run=_run,
     )
-    parser.add_argument("--p99-budget-factor", type=float,
-                        default=DEFAULT_P99_BUDGET_FACTOR)
-    parser.add_argument("--max-rejection-rate", type=float,
-                        default=DEFAULT_MAX_REJECTION_RATE)
-    parser.add_argument(
-        "--check-schema", type=Path, metavar="JSON",
-        help="validate an existing report file and exit (no chaos run)",
-    )
-    parser.add_argument(
-        "--check-gate", type=Path, metavar="JSON",
-        help="validate an existing report file AND re-apply the gate to "
-             "its stored numbers; exits 1 on violation (no chaos run)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.check_schema is not None or args.check_gate is not None:
-        path = args.check_schema or args.check_gate
-        report = json.loads(path.read_text())
-        errors = check_schema(report)
-        for err in errors:
-            print(f"schema error: {err}", file=sys.stderr)
-        print(f"{path}: " + ("INVALID" if errors else "schema ok"))
-        if errors:
-            return 1
-        if args.check_gate is not None:
-            ok = apply_gate(
-                report,
-                p99_budget_factor=args.p99_budget_factor,
-                max_rejection_rate=args.max_rejection_rate,
-            )
-            _print_gate(report)
-            return 0 if ok else 1
-        return 0
-
-    print(f"bench_chaos grid={args.grid} seed={args.seed}", flush=True)
-    report = run_grid(
-        args.grid, seed=args.seed,
-        p99_budget_factor=args.p99_budget_factor,
-        max_rejection_rate=args.max_rejection_rate,
-    )
-    ok = (apply_gate(report,
-                     p99_budget_factor=args.p99_budget_factor,
-                     max_rejection_rate=args.max_rejection_rate)
-          if args.gate else True)
-
-    errors = check_schema(report)
-    if errors:  # self-check: the emitter must satisfy its own schema
-        for err in errors:
-            print(f"schema error: {err}", file=sys.stderr)
-        return 2
-
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out is not None:
-        args.out.write_text(text + "\n")
-        print(f"wrote {args.out}")
-    else:
-        print(text)
-
-    if args.gate:
-        _print_gate(report)
-    return 0 if ok else 1
 
 
 if __name__ == "__main__":

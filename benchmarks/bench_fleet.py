@@ -8,7 +8,7 @@ service's ``submit`` contract, so the driver is reused unchanged)
 through :class:`repro.fleet.SortFleet` at 1, 2, and 4 workers, plus a
 p99-under-overload cell and a live worker-kill failover-drain cell, and
 emits ``BENCH_fleet.json`` (schema ``bench-fleet/v1``) — the artifact
-``make fleet-gate`` checks.
+``make fleet-gate`` re-checks.
 
 What the scaling cells measure — and what they do not
 -----------------------------------------------------
@@ -33,7 +33,7 @@ a multi-core host the same cells additionally scale the compute.
 ``p99-2x`` measures overload absorption: it offers **twice the
 throughput the single-worker cell just measured**, open-loop (paced
 arrivals), to the full 4-worker fleet and gates p99 latency (which
-*includes* backpressure retry sleeps) against ``--p99-budget-ms``.  One
+*includes* backpressure retry sleeps) against a 400 ms budget.  One
 worker at that rate diverges — its queue grows without bound — so the
 cell certifies that the fleet absorbs a single worker's overload with
 bounded delay rather than latency collapse.
@@ -48,15 +48,11 @@ Usage
     PYTHONPATH=src python benchmarks/bench_fleet.py --grid smoke
     PYTHONPATH=src python benchmarks/bench_fleet.py --grid load --gate
     PYTHONPATH=src python benchmarks/bench_fleet.py --grid load --out BENCH_fleet.json
-    PYTHONPATH=src python benchmarks/bench_fleet.py --check-schema BENCH_fleet.json
+    PYTHONPATH=src python benchmarks/bench_fleet.py --check-gate BENCH_fleet.json
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import sys
 import time
 from pathlib import Path
@@ -68,14 +64,12 @@ if str(_SRC) not in sys.path:
 
 import numpy as np
 
+import _artifact
+from _artifact import NUM, ByKind, Gate
 from repro.fleet import SortFleet
 from repro.service import parse_size_mix, run_service_traffic
 
 SCHEMA = "bench-fleet/v1"
-DEFAULT_MIN_SCALING = 3.0
-#: p99 allowance for the 2x-overload cell: admission retry sleeps plus
-#: a few linger windows of queueing on a saturated single-core host.
-DEFAULT_P99_BUDGET_MS = 400.0
 DEFAULT_SIZE_MIX = "64:1.0"
 #: Router-side per-worker outstanding-rows bound for the load cells.
 #: Kept below the worker batch target so capacity is linger-bound (see
@@ -311,12 +305,7 @@ def run_grid(grid: str, *, size_mix, seed: int, linger_ms: float,
             "worker_bound_rows": worker_bound,
             "batch_target_rows": batch_target,
         },
-        "host": {
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-        },
+        "host": _artifact.host_block(),
         "results": results,
         "scaling": {
             "throughput_rps_by_workers": by_workers,
@@ -325,151 +314,121 @@ def run_grid(grid: str, *, size_mix, seed: int, linger_ms: float,
     }
 
 
-def check_schema(report: dict) -> list:
-    """Return a list of schema violations (empty == valid)."""
-    errors = []
-    if report.get("schema") != SCHEMA:
-        errors.append(f"schema must be {SCHEMA!r}, got {report.get('schema')!r}")
-    results = report.get("results")
-    if not isinstance(results, list) or not results:
-        errors.append("results must be a non-empty list")
-        results = []
-    load_required = {
-        "name": str,
-        "workers": int,
-        "clients": int,
-        "total_requests": int,
-        "array_size": int,
-        "linger_ms": (int, float),
-        "traffic": dict,
-        "fleet_stats": dict,
-        "throughput_rps": (int, float),
-    }
-    failover_required = {
-        "name": str,
-        "workers": int,
+LOAD_SPEC = {
+    "name": str,
+    "workers": int,
+    "clients": int,
+    "total_requests": int,
+    "array_size": int,
+    "linger_ms": NUM,
+    "traffic": {
         "requests_issued": int,
         "completed": int,
-        "correct": int,
-        "dropped": int,
-        "failovers": int,
-        "redispatched": int,
-        "fleet_stats": dict,
-    }
-    for i, cell in enumerate(results):
-        kind = cell.get("kind")
-        if kind == "load":
-            for key, typ in load_required.items():
-                if not isinstance(cell.get(key), typ):
-                    errors.append(f"results[{i}].{key} missing or not {typ}")
-            traffic = cell.get("traffic")
-            if isinstance(traffic, dict):
-                for key in ("requests_issued", "completed", "wall_seconds",
-                            "throughput_rps", "latency_ms"):
-                    if key not in traffic:
-                        errors.append(f"results[{i}].traffic.{key} missing")
-                latency = traffic.get("latency_ms")
-                if isinstance(latency, dict) and latency:
-                    for pkey in ("p50", "p95", "p99"):
-                        if not isinstance(latency.get(pkey), (int, float)):
-                            errors.append(
-                                f"results[{i}].traffic.latency_ms.{pkey} "
-                                "missing or non-numeric"
-                            )
-        elif kind == "failover":
-            for key, typ in failover_required.items():
-                if not isinstance(cell.get(key), typ):
-                    errors.append(f"results[{i}].{key} missing or not {typ}")
-        else:
-            errors.append(f"results[{i}].kind must be 'load' or 'failover', "
-                          f"got {kind!r}")
-    scaling = report.get("scaling")
-    if not isinstance(scaling, dict) or not isinstance(
-        scaling.get("throughput_rps_by_workers"), dict
-    ):
-        errors.append("scaling.throughput_rps_by_workers missing")
-    if "gate" in report:
-        gate = report["gate"]
-        if not isinstance(gate, dict) or not isinstance(gate.get("passed"), bool):
-            errors.append("gate must be a dict with a boolean 'passed'")
+        "wall_seconds": NUM,
+        "throughput_rps": NUM,
+        "latency_ms": dict,
+    },
+    "fleet_stats": dict,
+    "throughput_rps": NUM,
+}
+FAILOVER_SPEC = {
+    "name": str,
+    "workers": int,
+    "requests_issued": int,
+    "completed": int,
+    "correct": int,
+    "dropped": int,
+    "failovers": int,
+    "redispatched": int,
+    "fleet_stats": dict,
+}
+REPORT = {
+    "schema": SCHEMA,
+    "results": [ByKind({"load": LOAD_SPEC, "failover": FAILOVER_SPEC})],
+    "scaling": {"throughput_rps_by_workers": dict},
+}
+
+
+def _scaling(report: dict, t) -> list:
+    one = _artifact.find_cell(report, GATE_CELL_1W)
+    four = _artifact.find_cell(report, GATE_CELL_4W)
+    if one is None or four is None:
+        return []
+    base, scaled = one["throughput_rps"], four["throughput_rps"]
+    ratio = scaled / base if base > 0 else 0.0
+    if ratio >= t["min_scaling_4w"]:
+        return []
+    return [f"{GATE_CELL_4W}: {scaled:.1f} req/s vs single-worker "
+            f"{base:.1f} req/s ({ratio:.2f}x < {t['min_scaling_4w']:.2f}x)"]
+
+
+def _overload_p99(report: dict, t) -> list:
+    """The 2x-overload budget covers admission retry sleeps plus a few
+    linger windows of queueing on a saturated single-core host."""
+    cell = _artifact.find_cell(report, P99_CELL)
+    if cell is None:
+        return []
+    p99 = cell["traffic"]["latency_ms"].get("p99")
+    if not isinstance(p99, NUM):
+        return [f"{P99_CELL}: no p99 recorded"]
+    if p99 > t["p99_budget_ms"]:
+        return [f"{P99_CELL}: p99 {p99:.2f} ms exceeds budget "
+                f"{t['p99_budget_ms']:.2f} ms under 2x load"]
+    return []
+
+
+def _failover_drain(report: dict, t) -> list:
+    cell = _artifact.find_cell(report, FAILOVER_CELL)
+    if cell is None:
+        return []
+    issued = cell["requests_issued"]
+    failures = []
+    if cell["dropped"] != 0:
+        failures.append(f"{FAILOVER_CELL}: {cell['dropped']} request(s) dropped")
+    if cell["completed"] != issued:
+        failures.append(f"{FAILOVER_CELL}: completed {cell['completed']} of "
+                        f"{issued} issued")
+    if cell["correct"] != issued:
+        failures.append(f"{FAILOVER_CELL}: only {cell['correct']} of "
+                        f"{issued} results byte-correct")
+    if cell["failovers"] < 1:
+        failures.append(
+            f"{FAILOVER_CELL}: no failover recorded (victim never died?)"
+        )
+    return failures
+
+
+GATES = (
+    Gate(
+        "gate",
+        {
+            "cells": [GATE_CELL_1W, GATE_CELL_4W, P99_CELL, FAILOVER_CELL],
+            "min_scaling_4w": 3.0,
+            "p99_budget_ms": 400.0,
+        },
+        (_artifact.cells_present, _scaling, _overload_p99, _failover_drain),
+    ),
+)
+
+
+def check_schema(report: dict) -> list:
+    """Return a list of schema violations (empty == valid)."""
+    errors = _artifact.check_schema(report, REPORT, GATES)
+    # A cell that completed nothing has an empty latency block; any other
+    # must carry every percentile.
+    for i, cell in enumerate(report.get("results") or []):
+        traffic = cell.get("traffic") if isinstance(cell, dict) else None
+        latency = traffic.get("latency_ms") if isinstance(traffic, dict) else None
+        if isinstance(latency, dict) and latency:
+            errors += [f"results[{i}].traffic.latency_ms.{key} missing or "
+                       "non-numeric" for key in ("p50", "p95", "p99")
+                       if not isinstance(latency.get(key), NUM)]
     return errors
 
 
-def apply_gate(report: dict, min_scaling: float,
-               p99_budget_ms: float = DEFAULT_P99_BUDGET_MS) -> bool:
-    """Gate: 4-worker scaling, overload p99, and failover drain."""
-    failures = []
-    cells = {r["name"]: r for r in report["results"]}
-
-    one = cells.get(GATE_CELL_1W)
-    four = cells.get(GATE_CELL_4W)
-    if one is None or four is None:
-        failures.append(
-            f"gate cells {GATE_CELL_1W!r}/{GATE_CELL_4W!r} not in results "
-            "(run with --grid load)"
-        )
-    else:
-        base = one["throughput_rps"]
-        scaled = four["throughput_rps"]
-        ratio = scaled / base if base > 0 else 0.0
-        if ratio < min_scaling:
-            failures.append(
-                f"{GATE_CELL_4W}: {scaled:.1f} req/s vs single-worker "
-                f"{base:.1f} req/s ({ratio:.2f}x < {min_scaling:.2f}x)"
-            )
-
-    p99_cell = cells.get(P99_CELL)
-    if p99_cell is None:
-        failures.append(f"gate cell {P99_CELL!r} not in results")
-    else:
-        p99 = p99_cell["traffic"]["latency_ms"].get("p99")
-        if not isinstance(p99, (int, float)):
-            failures.append(f"{P99_CELL}: no p99 recorded")
-        elif p99 > p99_budget_ms:
-            failures.append(
-                f"{P99_CELL}: p99 {p99:.2f} ms exceeds budget "
-                f"{p99_budget_ms:.2f} ms under 2x load"
-            )
-
-    failover = cells.get(FAILOVER_CELL)
-    if failover is None:
-        failures.append(f"gate cell {FAILOVER_CELL!r} not in results")
-    else:
-        if failover["dropped"] != 0:
-            failures.append(
-                f"{FAILOVER_CELL}: {failover['dropped']} request(s) dropped"
-            )
-        if failover["completed"] != failover["requests_issued"]:
-            failures.append(
-                f"{FAILOVER_CELL}: completed {failover['completed']} of "
-                f"{failover['requests_issued']} issued"
-            )
-        if failover["correct"] != failover["requests_issued"]:
-            failures.append(
-                f"{FAILOVER_CELL}: only {failover['correct']} of "
-                f"{failover['requests_issued']} results byte-correct"
-            )
-        if failover["failovers"] < 1:
-            failures.append(
-                f"{FAILOVER_CELL}: no failover recorded (victim never died?)"
-            )
-
-    report["gate"] = {
-        "cells": [GATE_CELL_1W, GATE_CELL_4W, P99_CELL, FAILOVER_CELL],
-        "min_scaling_4w": min_scaling,
-        "p99_budget_ms": p99_budget_ms,
-        "passed": not failures,
-        "failures": failures,
-    }
-    return not failures
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--grid", choices=sorted(GRIDS), default="load")
+def _options(parser) -> None:
     parser.add_argument("--size-mix", default=DEFAULT_SIZE_MIX,
                         metavar="R:W,...")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--linger-ms", type=float, default=DEFAULT_LINGER_MS)
     parser.add_argument(
         "--worker-bound", type=int, default=DEFAULT_WORKER_BOUND,
@@ -480,84 +439,25 @@ def main(argv=None) -> int:
         help="worker service batch target (kept above --worker-bound so "
              "load cells stay linger-bound; see module docstring)",
     )
-    parser.add_argument("--out", type=Path, default=None)
-    parser.add_argument(
-        "--gate", action="store_true",
-        help="exit 1 unless 4-worker scaling, overload p99, and the "
-             "failover drain all pass",
-    )
-    parser.add_argument("--min-scaling", type=float,
-                        default=DEFAULT_MIN_SCALING)
-    parser.add_argument(
-        "--p99-budget-ms", type=float, default=DEFAULT_P99_BUDGET_MS,
-        help="p99 bound for the 2x-overload cell (includes retry sleeps)",
-    )
-    parser.add_argument(
-        "--check-schema", type=Path, metavar="JSON",
-        help="validate an existing report file and exit (no benchmarking)",
-    )
-    parser.add_argument(
-        "--check-gate", type=Path, metavar="JSON",
-        help="re-evaluate the gate on an existing report file and exit "
-             "(no benchmarking)",
-    )
-    args = parser.parse_args(argv)
 
-    if args.check_schema is not None:
-        report = json.loads(args.check_schema.read_text())
-        errors = check_schema(report)
-        for err in errors:
-            print(f"schema error: {err}", file=sys.stderr)
-        print(f"{args.check_schema}: " + ("INVALID" if errors else "ok"))
-        return 1 if errors else 0
 
-    if args.check_gate is not None:
-        report = json.loads(args.check_gate.read_text())
-        errors = check_schema(report)
-        for err in errors:
-            print(f"schema error: {err}", file=sys.stderr)
-        if errors:
-            print(f"{args.check_gate}: INVALID")
-            return 1
-        ok = apply_gate(report, args.min_scaling, args.p99_budget_ms)
-        for failure in report["gate"]["failures"]:
-            print(f"GATE FAIL: {failure}", file=sys.stderr)
-        print(f"{args.check_gate}: gate "
-              + ("passed" if ok else "FAILED"))
-        return 0 if ok else 1
-
-    size_mix = parse_size_mix(args.size_mix)
+def _run(args) -> dict:
     print(f"bench_fleet grid={args.grid} size_mix={args.size_mix} "
           f"seed={args.seed} linger={args.linger_ms}ms "
           f"bound={args.worker_bound} rows/worker", flush=True)
-    report = run_grid(
-        args.grid, size_mix=size_mix, seed=args.seed,
+    return run_grid(
+        args.grid, size_mix=parse_size_mix(args.size_mix), seed=args.seed,
         linger_ms=args.linger_ms, worker_bound=args.worker_bound,
         batch_target=args.batch_target,
     )
-    ok = (apply_gate(report, args.min_scaling, args.p99_budget_ms)
-          if args.gate else True)
 
-    errors = check_schema(report)
-    if errors:  # self-check: the emitter must satisfy its own schema
-        for err in errors:
-            print(f"schema error: {err}", file=sys.stderr)
-        return 2
 
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out is not None:
-        args.out.write_text(text + "\n")
-        print(f"wrote {args.out}")
-    else:
-        print(text)
-
-    if args.gate:
-        gate = report["gate"]
-        for failure in gate["failures"]:
-            print(f"GATE FAIL: {failure}", file=sys.stderr)
-        print(f"gate: {'passed' if gate['passed'] else 'FAILED'} "
-              f"(min_scaling_4w={gate['min_scaling_4w']})")
-    return 0 if ok else 1
+def main(argv=None) -> int:
+    return _artifact.main(
+        argv, description=__doc__.splitlines()[0], grids=GRIDS,
+        default_grid="load", check=check_schema, gates=GATES, run=_run,
+        options=_options,
+    )
 
 
 if __name__ == "__main__":

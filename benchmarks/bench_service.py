@@ -4,7 +4,7 @@
 Standalone (no pytest-benchmark): drives synthetic closed-loop traffic
 through :class:`repro.service.SortService` across a ladder of load cells
 and emits ``BENCH_service.json`` (schema ``bench-service/v1``) — the
-artifact ``make service-gate`` checks.
+artifact ``make service-gate`` re-checks.
 
 What each cell measures
 -----------------------
@@ -28,28 +28,24 @@ request in the batch.
 
 Gates
 -----
-``--gate`` exits non-zero unless, at the **mid** load cell,
+``--gate`` (and ``--check-gate FILE`` on a committed artifact) exits
+non-zero unless, at the **mid** load cell,
 
-* batched throughput is at least ``--min-speedup``× (default 2.0) the
-  unbatched baseline, and
+* batched throughput is at least 2.0× the unbatched baseline, and
 * batched p99 latency stays within the cell's latency budget:
   ``linger_ms + deadline_ms`` when the cell sets a deadline, else
-  ``linger_ms + --p99-budget-ms``.
+  ``linger_ms + 25 ms``.
 
 Usage
 -----
     PYTHONPATH=src python benchmarks/bench_service.py --grid smoke
     PYTHONPATH=src python benchmarks/bench_service.py --grid load --gate
     PYTHONPATH=src python benchmarks/bench_service.py --grid load --out BENCH_service.json
-    PYTHONPATH=src python benchmarks/bench_service.py --check-schema BENCH_service.json
+    PYTHONPATH=src python benchmarks/bench_service.py --check-gate BENCH_service.json
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import sys
 from pathlib import Path
 
@@ -58,8 +54,8 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-import numpy as np
-
+import _artifact
+from _artifact import NUM, Gate
 from repro.core.config import SortConfig
 from repro.service import (
     SortService,
@@ -69,10 +65,6 @@ from repro.service import (
 )
 
 SCHEMA = "bench-service/v1"
-DEFAULT_MIN_SPEEDUP = 2.0
-#: p99 allowance past the linger for cells without an explicit deadline:
-#: queueing + one batch sort + demux copies on a loaded host.
-DEFAULT_P99_BUDGET_MS = 25.0
 DEFAULT_SIZE_MIX = "1:0.7,4:0.3"
 
 # (name, clients, total_requests, array_size, linger_ms, deadline_ms).
@@ -158,12 +150,7 @@ def run_grid(grid: str, *, size_mix, seed: int, planner=None) -> dict:
         "grid": grid,
         "size_mix": [[rows, weight] for rows, weight in size_mix],
         "seed": seed,
-        "host": {
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-        },
+        "host": _artifact.host_block(),
         "results": results,
         "speedups": {
             "batched_vs_unbatched_max": max(
@@ -176,173 +163,100 @@ def run_grid(grid: str, *, size_mix, seed: int, planner=None) -> dict:
     }
 
 
+SIDE = {
+    "requests_issued": int,
+    "completed": int,
+    "wall_seconds": NUM,
+    "throughput_rps": NUM,
+    "throughput_rows_per_s": NUM,
+    "latency_ms": {"p50": NUM, "p95": NUM, "p99": NUM},
+}
+CELL = {
+    "name": str,
+    "clients": int,
+    "total_requests": int,
+    "array_size": int,
+    "linger_ms": NUM,
+    "batched": SIDE,
+    "unbatched": SIDE,
+    "service_stats": dict,
+    "speedup_batched_vs_unbatched": NUM,
+}
+REPORT = {
+    "schema": SCHEMA,
+    "results": [CELL],
+    "speedups": {"batched_vs_unbatched_max": NUM},
+}
+
+
+def _batched_speedup(report: dict, t) -> list:
+    cell = _artifact.find_cell(report, t["cell"])
+    if cell is None or cell["speedup_batched_vs_unbatched"] >= t["min_speedup"]:
+        return []
+    return [
+        f"{t['cell']}: batched "
+        f"{cell['batched']['throughput_rps']:.0f} req/s vs unbatched "
+        f"{cell['unbatched']['throughput_rps']:.0f} req/s "
+        f"({cell['speedup_batched_vs_unbatched']:.2f}x "
+        f"< {t['min_speedup']:.2f}x)"
+    ]
+
+
+def _p99_in_budget(report: dict, t) -> list:
+    """Budget: linger + the cell's deadline, else linger + p99_budget_ms
+    (queueing + one batch sort + demux copies on a loaded host)."""
+    cell = _artifact.find_cell(report, t["cell"])
+    if cell is None:
+        return []
+    budget_ms = cell["linger_ms"] + (
+        cell["deadline_ms"] if cell.get("deadline_ms") is not None
+        else t["p99_budget_ms"]
+    )
+    p99 = cell["batched"]["latency_ms"].get("p99")
+    if not isinstance(p99, NUM):
+        return [f"{t['cell']}: no batched p99 recorded"]
+    if p99 > budget_ms:
+        return [f"{t['cell']}: batched p99 {p99:.2f} ms exceeds budget "
+                f"{budget_ms:.2f} ms (linger + deadline)"]
+    return []
+
+
+GATES = (
+    Gate(
+        "gate",
+        {"cell": GATE_CELL, "min_speedup": 2.0, "p99_budget_ms": 25.0},
+        (_artifact.cells_present, _batched_speedup, _p99_in_budget),
+    ),
+)
+
+
 def check_schema(report: dict) -> list:
     """Return a list of schema violations (empty == valid)."""
-    errors = []
-    if report.get("schema") != SCHEMA:
-        errors.append(f"schema must be {SCHEMA!r}, got {report.get('schema')!r}")
-    results = report.get("results")
-    if not isinstance(results, list) or not results:
-        errors.append("results must be a non-empty list")
-        results = []
-    required = {
-        "name": str,
-        "clients": int,
-        "total_requests": int,
-        "array_size": int,
-        "linger_ms": (int, float),
-        "batched": dict,
-        "unbatched": dict,
-        "service_stats": dict,
-        "speedup_batched_vs_unbatched": (int, float),
-    }
-    side_required = {
-        "requests_issued": int,
-        "completed": int,
-        "wall_seconds": (int, float),
-        "throughput_rps": (int, float),
-        "throughput_rows_per_s": (int, float),
-        "latency_ms": dict,
-    }
-    for i, cell in enumerate(results):
-        for key, typ in required.items():
-            if not isinstance(cell.get(key), typ):
-                errors.append(f"results[{i}].{key} missing or not {typ}")
-        for side in ("batched", "unbatched"):
-            block = cell.get(side)
-            if not isinstance(block, dict):
-                continue
-            for key, typ in side_required.items():
-                if not isinstance(block.get(key), typ):
-                    errors.append(
-                        f"results[{i}].{side}.{key} missing or not {typ}"
-                    )
-            latency = block.get("latency_ms")
-            if isinstance(latency, dict):
-                for pkey in ("p50", "p95", "p99"):
-                    if not isinstance(latency.get(pkey), (int, float)):
-                        errors.append(
-                            f"results[{i}].{side}.latency_ms.{pkey} "
-                            "missing or non-numeric"
-                        )
-    speedups = report.get("speedups")
-    if not isinstance(speedups, dict) or not isinstance(
-        speedups.get("batched_vs_unbatched_max"), (int, float)
-    ):
-        errors.append("speedups.batched_vs_unbatched_max missing or non-numeric")
-    if "gate" in report:
-        gate = report["gate"]
-        if not isinstance(gate, dict) or not isinstance(gate.get("passed"), bool):
-            errors.append("gate must be a dict with a boolean 'passed'")
-    return errors
+    return _artifact.check_schema(report, REPORT, GATES)
 
 
-def apply_gate(report: dict, min_speedup: float,
-               p99_budget_ms: float = DEFAULT_P99_BUDGET_MS,
-               cell_name: str = GATE_CELL) -> bool:
-    """Gate the mid load cell: speedup and p99-within-budget."""
-    failures = []
-    cell = next(
-        (r for r in report["results"] if r["name"] == cell_name), None
-    )
-    if cell is None:
-        failures.append(f"gate cell {cell_name!r} not in results "
-                        "(run with a grid that includes it)")
-    else:
-        speedup = cell["speedup_batched_vs_unbatched"]
-        if speedup < min_speedup:
-            failures.append(
-                f"{cell_name}: batched "
-                f"{cell['batched']['throughput_rps']:.0f} req/s vs unbatched "
-                f"{cell['unbatched']['throughput_rps']:.0f} req/s "
-                f"({speedup:.2f}x < {min_speedup:.2f}x)"
-            )
-        budget_ms = cell["linger_ms"] + (
-            cell["deadline_ms"] if cell.get("deadline_ms") is not None
-            else p99_budget_ms
-        )
-        p99 = cell["batched"]["latency_ms"].get("p99")
-        if not isinstance(p99, (int, float)):
-            failures.append(f"{cell_name}: no batched p99 recorded")
-        elif p99 > budget_ms:
-            failures.append(
-                f"{cell_name}: batched p99 {p99:.2f} ms exceeds budget "
-                f"{budget_ms:.2f} ms (linger + deadline)"
-            )
-    report["gate"] = {
-        "cell": cell_name,
-        "min_speedup": min_speedup,
-        "p99_budget_ms": p99_budget_ms,
-        "passed": not failures,
-        "failures": failures,
-    }
-    return not failures
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--grid", choices=sorted(GRIDS), default="load")
+def _options(parser) -> None:
     parser.add_argument("--size-mix", default=DEFAULT_SIZE_MIX,
                         metavar="R:W,...")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--planner", choices=["auto", "fused", "radix"], default=None,
         help="execution planner handed to the service's backing sorter",
     )
-    parser.add_argument("--out", type=Path, default=None)
-    parser.add_argument(
-        "--gate", action="store_true",
-        help="exit 1 unless the mid cell hits --min-speedup x unbatched "
-             "with p99 inside the latency budget",
-    )
-    parser.add_argument("--min-speedup", type=float,
-                        default=DEFAULT_MIN_SPEEDUP)
-    parser.add_argument(
-        "--p99-budget-ms", type=float, default=DEFAULT_P99_BUDGET_MS,
-        help="p99 allowance past the linger for cells without a deadline",
-    )
-    parser.add_argument(
-        "--check-schema", type=Path, metavar="JSON",
-        help="validate an existing report file and exit (no benchmarking)",
-    )
-    args = parser.parse_args(argv)
 
-    if args.check_schema is not None:
-        report = json.loads(args.check_schema.read_text())
-        errors = check_schema(report)
-        for err in errors:
-            print(f"schema error: {err}", file=sys.stderr)
-        print(f"{args.check_schema}: " + ("INVALID" if errors else "ok"))
-        return 1 if errors else 0
 
-    size_mix = parse_size_mix(args.size_mix)
+def _run(args) -> dict:
     print(f"bench_service grid={args.grid} size_mix={args.size_mix} "
           f"seed={args.seed}", flush=True)
-    report = run_grid(args.grid, size_mix=size_mix, seed=args.seed,
-                      planner=args.planner)
-    ok = (apply_gate(report, args.min_speedup, args.p99_budget_ms)
-          if args.gate else True)
+    return run_grid(args.grid, size_mix=parse_size_mix(args.size_mix),
+                    seed=args.seed, planner=args.planner)
 
-    errors = check_schema(report)
-    if errors:  # self-check: the emitter must satisfy its own schema
-        for err in errors:
-            print(f"schema error: {err}", file=sys.stderr)
-        return 2
 
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out is not None:
-        args.out.write_text(text + "\n")
-        print(f"wrote {args.out}")
-    else:
-        print(text)
-
-    if args.gate:
-        gate = report["gate"]
-        for failure in gate["failures"]:
-            print(f"GATE FAIL: {failure}", file=sys.stderr)
-        print(f"gate: {'passed' if gate['passed'] else 'FAILED'} "
-              f"(cell={gate['cell']}, min_speedup={gate['min_speedup']})")
-    return 0 if ok else 1
+def main(argv=None) -> int:
+    return _artifact.main(
+        argv, description=__doc__.splitlines()[0], grids=GRIDS,
+        default_grid="load", check=check_schema, gates=GATES, run=_run,
+        options=_options,
+    )
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from .errors import (
     KernelFault,
     MemoryAccessError,
     SharedMemoryExceededError,
-    SynchronizationError,
 )
 from .executor import GpuDevice
 from .faults import FaultPlan, FaultStats
@@ -82,7 +81,6 @@ __all__ = [
     "SharedMemory",
     "build_double_buffered_schedule",
     "SharedMemoryExceededError",
-    "SynchronizationError",
     "ThreadContext",
     "AccessRecord",
     "MemcheckReport",

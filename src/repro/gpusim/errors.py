@@ -60,15 +60,6 @@ class AllocationError(GpuSimError):
     """Raised for malformed allocation requests (negative size, bad dtype)."""
 
 
-class SynchronizationError(GpuSimError):
-    """Raised when threads of a block disagree about a barrier.
-
-    Real hardware deadlocks when only part of a block reaches
-    ``__syncthreads()``; the simulator turns the deadlock into an error so
-    tests can assert on it.
-    """
-
-
 class KernelFault(GpuSimError):
     """Wraps an exception raised inside user kernel code with its context."""
 

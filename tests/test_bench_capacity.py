@@ -2,7 +2,7 @@
 
 The load grid takes minutes; these tests run one real smoke cell plus
 the kill-resume cell, and otherwise exercise ``check_schema`` /
-``apply_gate`` on synthetic reports so every gate failure mode is
+``apply_gates`` on synthetic reports so every gate failure mode is
 covered without re-benchmarking.  The committed ``BENCH_capacity.json``
 must itself pass both checks.
 """
@@ -18,6 +18,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 import bench_capacity  # noqa: E402
+from _artifact import apply_gates  # noqa: E402
 
 pytestmark = pytest.mark.capacity
 
@@ -59,7 +60,7 @@ class TestRunGrid:
 
     def test_gate_passes_on_real_smoke_run(self, smoke_report):
         report = copy.deepcopy(smoke_report)
-        assert bench_capacity.apply_gate(report)
+        assert apply_gates(report, bench_capacity.GATES)
         assert report["gate"]["passed"]
         assert report["gate"]["failures"] == []
         assert bench_capacity.check_schema(report) == []
@@ -121,42 +122,42 @@ class TestCheckSchema:
 class TestApplyGate:
     def test_passes_on_good_report(self):
         report = synthetic_report()
-        assert bench_capacity.apply_gate(report)
+        assert apply_gates(report, bench_capacity.GATES)
         assert report["gate"]["best_oversubscription"] == 5.0
 
     def test_fails_below_min_ratio(self):
         report = synthetic_report()
         report["results"][0]["oversubscription"] = 2.0
-        assert not bench_capacity.apply_gate(report)
+        assert not apply_gates(report, bench_capacity.GATES)
         assert any("oversubscription" in f
                    for f in report["gate"]["failures"])
 
     def test_fails_without_byte_identity(self):
         report = synthetic_report()
         report["results"][0]["byte_identical"] = False
-        assert not bench_capacity.apply_gate(report)
+        assert not apply_gates(report, bench_capacity.GATES)
 
     def test_fails_when_child_not_killed(self):
         report = synthetic_report()
         report["results"][1]["killed_mid_run"] = False
-        assert not bench_capacity.apply_gate(report)
+        assert not apply_gates(report, bench_capacity.GATES)
         assert any("killed" in f for f in report["gate"]["failures"])
 
     def test_fails_on_reemission(self):
         report = synthetic_report()
         report["results"][1]["reemitted_chunks"] = 2
-        assert not bench_capacity.apply_gate(report)
+        assert not apply_gates(report, bench_capacity.GATES)
         assert any("re-emitted" in f for f in report["gate"]["failures"])
 
     def test_fails_when_nothing_resumed(self):
         report = synthetic_report()
         report["results"][1]["chunks_resumed"] = 0
-        assert not bench_capacity.apply_gate(report)
+        assert not apply_gates(report, bench_capacity.GATES)
 
     def test_fails_without_kill_cell(self):
         report = synthetic_report()
         report["results"] = report["results"][:1]
-        assert not bench_capacity.apply_gate(report)
+        assert not apply_gates(report, bench_capacity.GATES)
         assert any("missing" in f for f in report["gate"]["failures"])
 
 
@@ -175,7 +176,7 @@ class TestCommittedArtifact:
 
     def test_gate_passes(self, artifact):
         report = copy.deepcopy(artifact)
-        assert bench_capacity.apply_gate(report), \
+        assert apply_gates(report, bench_capacity.GATES), \
             report["gate"]["failures"]
 
     def test_committed_gate_block_matches(self, artifact):

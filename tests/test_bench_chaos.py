@@ -12,6 +12,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 import bench_chaos  # noqa: E402
+from _artifact import apply_gates  # noqa: E402
 
 pytestmark = [pytest.mark.service, pytest.mark.chaos]
 
@@ -19,11 +20,7 @@ pytestmark = [pytest.mark.service, pytest.mark.chaos]
 @pytest.fixture(scope="module")
 def smoke_report():
     """One real run of the smallest grid — a second or two."""
-    return bench_chaos.run_grid(
-        "smoke", seed=0,
-        p99_budget_factor=bench_chaos.DEFAULT_P99_BUDGET_FACTOR,
-        max_rejection_rate=bench_chaos.DEFAULT_MAX_REJECTION_RATE,
-    )
+    return bench_chaos.run_grid("smoke", seed=0)
 
 
 class TestRunGrid:
@@ -77,17 +74,13 @@ def _gated(report):
 class TestApplyGate:
     def test_missing_cell_fails(self, smoke_report):
         report = copy.deepcopy(smoke_report)  # only chaos-smoke inside
-        assert not bench_chaos.apply_gate(
-            report, p99_budget_factor=2.0, max_rejection_rate=0.05
-        )
+        assert not apply_gates(report, bench_chaos.GATES)
         assert "chaos-mid" in report["gate"]["failures"][0]
 
     def test_cross_tenant_quarantine_fails(self, smoke_report):
         report = _gated(smoke_report)
         report["results"][0]["slos"]["cross_tenant_quarantines"] = 2
-        assert not bench_chaos.apply_gate(
-            report, p99_budget_factor=2.0, max_rejection_rate=0.05
-        )
+        assert not apply_gates(report, bench_chaos.GATES)
         assert any("isolation" in f for f in report["gate"]["failures"])
 
     def test_unfired_probe_fails(self, smoke_report):
@@ -95,32 +88,24 @@ class TestApplyGate:
         cell = report["results"][0]
         traffic = cell["report"]["faulted"]["traffic"]
         traffic[cell["poison_tenant"]]["quarantined"] = 0
-        assert not bench_chaos.apply_gate(
-            report, p99_budget_factor=2.0, max_rejection_rate=0.05
-        )
+        assert not apply_gates(report, bench_chaos.GATES)
         assert any("probe" in f for f in report["gate"]["failures"])
 
     def test_p99_over_budget_fails(self, smoke_report):
         report = _gated(smoke_report)
         report["results"][0]["slos"]["p99_ratio"] = 2.7
-        assert not bench_chaos.apply_gate(
-            report, p99_budget_factor=2.0, max_rejection_rate=0.05
-        )
+        assert not apply_gates(report, bench_chaos.GATES)
         assert any("p99" in f for f in report["gate"]["failures"])
         # the gate recomputes from numbers: a hand-edited ok flag is moot
         report2 = _gated(smoke_report)
         report2["results"][0]["slos"]["p99_ratio"] = 2.7
         report2["results"][0]["slos"]["ok"] = True
-        assert not bench_chaos.apply_gate(
-            report2, p99_budget_factor=2.0, max_rejection_rate=0.05
-        )
+        assert not apply_gates(report2, bench_chaos.GATES)
 
     def test_innocent_rejection_rate_fails(self, smoke_report):
         report = _gated(smoke_report)
         report["results"][0]["slos"]["innocent_rejection_rates"]["alpha"] = 0.2
-        assert not bench_chaos.apply_gate(
-            report, p99_budget_factor=2.0, max_rejection_rate=0.05
-        )
+        assert not apply_gates(report, bench_chaos.GATES)
         assert any("alpha" in f for f in report["gate"]["failures"])
 
 
@@ -149,14 +134,10 @@ class TestCommittedArtifact:
 
     def test_gate_passes(self, committed):
         # The gate logic's passing case runs on these fixed numbers: a
-        # live run's p99 ratio moves with the load on the host (the live
-        # gate is `make chaos-smoke`).
+        # live run's p99 ratio moves with the load on the host.
         report = copy.deepcopy(committed)
-        assert bench_chaos.apply_gate(
-            report,
-            p99_budget_factor=bench_chaos.DEFAULT_P99_BUDGET_FACTOR,
-            max_rejection_rate=bench_chaos.DEFAULT_MAX_REJECTION_RATE,
-        ), report["gate"]["failures"]
+        assert apply_gates(report, bench_chaos.GATES), \
+            report["gate"]["failures"]
         assert report["gate"]["passed"]
         assert report["gate"]["failures"] == []
 

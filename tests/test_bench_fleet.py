@@ -2,7 +2,7 @@
 
 The full load grid takes minutes; these tests run the smoke grid once
 (real fleets, small request counts) and otherwise exercise
-``check_schema``/``apply_gate`` on synthetic reports, so every gate
+``check_schema``/``apply_gates`` on synthetic reports, so every gate
 failure mode is covered without re-measuring throughput.
 """
 
@@ -16,6 +16,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 import bench_fleet  # noqa: E402
+from _artifact import apply_gates  # noqa: E402
 
 pytestmark = [pytest.mark.fleet, pytest.mark.service]
 
@@ -178,45 +179,43 @@ class TestCheckSchema:
 class TestApplyGate:
     def test_passes_good_report_and_stays_schema_valid(self):
         report = _gateable_report()
-        assert bench_fleet.apply_gate(report, min_scaling=3.0) is True
+        assert apply_gates(report, bench_fleet.GATES) is True
         assert report["gate"]["passed"] is True
         assert report["gate"]["failures"] == []
         assert bench_fleet.check_schema(report) == []
 
     def test_fails_on_low_scaling(self):
         report = _gateable_report(rps_1w=100.0, rps_4w=250.0)
-        assert bench_fleet.apply_gate(report, min_scaling=3.0) is False
+        assert apply_gates(report, bench_fleet.GATES) is False
         assert any("2.50x < 3.00x" in f for f in report["gate"]["failures"])
 
     def test_fails_on_p99_over_budget(self):
         report = _gateable_report(p99_2x=900.0)
-        assert bench_fleet.apply_gate(
-            report, min_scaling=3.0, p99_budget_ms=400.0
-        ) is False
+        assert apply_gates(report, bench_fleet.GATES) is False
         assert any("p99" in f for f in report["gate"]["failures"])
 
     def test_fails_on_dropped_requests(self):
         report = _gateable_report(
             failover=_failover_cell(dropped=1, completed=15, correct=15)
         )
-        assert bench_fleet.apply_gate(report, min_scaling=3.0) is False
+        assert apply_gates(report, bench_fleet.GATES) is False
         failures = report["gate"]["failures"]
         assert any("dropped" in f for f in failures)
         assert any("completed" in f for f in failures)
 
     def test_fails_on_corrupt_results(self):
         report = _gateable_report(failover=_failover_cell(correct=15))
-        assert bench_fleet.apply_gate(report, min_scaling=3.0) is False
+        assert apply_gates(report, bench_fleet.GATES) is False
         assert any("byte-correct" in f for f in report["gate"]["failures"])
 
     def test_fails_when_no_failover_happened(self):
         report = _gateable_report(failover=_failover_cell(failovers=0))
-        assert bench_fleet.apply_gate(report, min_scaling=3.0) is False
+        assert apply_gates(report, bench_fleet.GATES) is False
         assert any("no failover" in f for f in report["gate"]["failures"])
 
     def test_fails_loudly_on_missing_cells(self):
         report = _report(_load_cell("smoke-1w", 1, 100.0))
-        assert bench_fleet.apply_gate(report, min_scaling=3.0) is False
+        assert apply_gates(report, bench_fleet.GATES) is False
         failures = report["gate"]["failures"]
         assert any(bench_fleet.GATE_CELL_4W in f for f in failures)
         assert any(bench_fleet.P99_CELL in f for f in failures)
@@ -236,9 +235,7 @@ class TestCommittedArtifact:
         assert bench_fleet.check_schema(artifact) == []
 
     def test_artifact_passed_its_gate(self, artifact):
-        gate = artifact["gate"]
-        assert gate["passed"] is True
-        assert gate["min_scaling_4w"] >= bench_fleet.DEFAULT_MIN_SCALING
+        assert apply_gates(artifact, bench_fleet.GATES) is True
 
     def test_artifact_acceptance_claims(self, artifact):
         """The PR's acceptance criteria, re-checked from the artifact:

@@ -1,5 +1,6 @@
 """Schema + gate tests for benchmarks/bench_hotpath.py (tiny grid)."""
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -10,12 +11,22 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 import bench_hotpath  # noqa: E402
+from _artifact import apply_gates  # noqa: E402
+
+FUSED_GATE, RADIX_GATE = bench_hotpath.GATES
+
+
+def _with(gate, **thresholds):
+    """``gate`` with some thresholds replaced."""
+    return dataclasses.replace(
+        gate, thresholds={**gate.thresholds, **thresholds}
+    )
 
 
 @pytest.fixture(scope="module")
 def smoke_report():
     """One real run of the smallest grid — seconds, not minutes."""
-    return bench_hotpath.run_grid("smoke", repeats=1, planner_warmup=1)
+    return bench_hotpath.run_grid("smoke", repeats=1)
 
 
 class TestRunGrid:
@@ -31,24 +42,12 @@ class TestRunGrid:
             assert cell["fused_ms"] > 0
             assert cell["unfused_ms"] > 0
             assert cell["radix_ms"] > 0
-            assert cell["planner_ms"] > 0
             assert set(cell["fused_phase_ms"]) == {
                 "phase1_splitters", "phase23_fused",
             }
             assert set(cell["unfused_phase_ms"]) == {
                 "phase1_splitters", "phase2_bucketing", "phase3_sorting",
             }
-            assert cell["planner_phase_ms"]  # non-empty, keys vary by engine
-
-    def test_planner_column(self, smoke_report):
-        for cell in smoke_report["results"]:
-            assert cell["planner_engine"] == "radix"
-            assert cell["planner_vs_best_static"] > 0
-        assert (
-            smoke_report["speedups"]["planner_vs_best_static_max"]
-            == max(r["planner_vs_best_static"]
-                   for r in smoke_report["results"])
-        )
 
     def test_speedup_summary_consistent(self, smoke_report):
         speedups = [
@@ -58,21 +57,11 @@ class TestRunGrid:
 
     def test_gate_pass_and_fail(self, smoke_report):
         report = json.loads(json.dumps(smoke_report))  # work on a copy
-        assert bench_hotpath.apply_gate(report, min_speedup=0.0) is True
+        assert apply_gates(report, [_with(FUSED_GATE, min_speedup=0.0)])
         assert report["gate"]["passed"] is True
-        assert bench_hotpath.apply_gate(report, min_speedup=1e9) is False
+        assert not apply_gates(report, [_with(FUSED_GATE, min_speedup=1e9)])
         assert report["gate"]["failures"]
         # gate block itself must stay schema-valid
-        assert bench_hotpath.check_schema(report) == []
-
-    def test_planner_gate_pass_and_fail(self, smoke_report):
-        report = json.loads(json.dumps(smoke_report))
-        assert bench_hotpath.apply_planner_gate(report, tolerance=1e9) is True
-        assert report["planner_gate"]["passed"] is True
-        assert bench_hotpath.apply_planner_gate(
-            report, tolerance=0.0, slack_ms=0.0
-        ) is False
-        assert report["planner_gate"]["failures"]
         assert bench_hotpath.check_schema(report) == []
 
     def test_radix_column(self, smoke_report):
@@ -89,7 +78,7 @@ class TestRunGrid:
         # The smoke grid has no radix_expected cells, so the gate must
         # fail loudly instead of vacuously passing.
         report = json.loads(json.dumps(smoke_report))
-        assert bench_hotpath.apply_radix_gate(report) is False
+        assert apply_gates(report, [RADIX_GATE]) is False
         assert any("radix_expected" in f
                    for f in report["radix_gate"]["failures"])
         assert bench_hotpath.check_schema(report) == []
@@ -98,17 +87,13 @@ class TestRunGrid:
         report = json.loads(json.dumps(smoke_report))
         cell = report["results"][0]
         cell["radix_expected"] = True
-        cell["planner_engine"] = "radix"
         cell["speedup_radix_vs_fused"] = 2.0
         report["speedups"]["radix_vs_fused_expected_min"] = 2.0
-        assert bench_hotpath.apply_radix_gate(report, min_speedup=1.5) is True
+        assert apply_gates(report, [RADIX_GATE]) is True
         assert report["radix_gate"]["passed"] is True
         # Too slow: speedup below the floor.
-        assert bench_hotpath.apply_radix_gate(report, min_speedup=3.0) is False
-        # Fast enough but the planner picked something else.
-        cell["planner_engine"] = "serial"
-        assert bench_hotpath.apply_radix_gate(report, min_speedup=1.5) is False
-        assert any("planner" in f for f in report["radix_gate"]["failures"])
+        assert apply_gates(report, [_with(RADIX_GATE, min_speedup=3.0)]) is False
+        assert any(cell["name"] in f for f in report["radix_gate"]["failures"])
         assert bench_hotpath.check_schema(report) == []
 
     def test_json_round_trip(self, smoke_report, tmp_path):
@@ -133,14 +118,11 @@ class TestCheckSchema:
             "name": "x", "dtype": "float32", "num_arrays": 1,
             "array_size": 1, "repeats": 1, "fused_ms": 1.0,
             "unfused_ms": 1.0, "radix_ms": 1.0,
-            "planner_ms": 1.0,
             "fused_phase_ms": {}, "unfused_phase_ms": {},
             "radix_phase_ms": {},
-            "planner_phase_ms": {}, "planner_engine": "serial",
             "speedup_fused_vs_unfused": 1.0,
             "speedup_radix_vs_fused": 1.0,
             "radix_expected": False,
-            "planner_vs_best_static": 1.0,
         }
         cell.update(overrides)
         return cell
@@ -153,7 +135,6 @@ class TestCheckSchema:
                 "fused_vs_unfused_min": 1.0,
                 "fused_vs_unfused_median": 1.0,
                 "radix_vs_fused_median": 1.0,
-                "planner_vs_best_static_max": 1.0,
             },
         }
 
@@ -162,12 +143,6 @@ class TestCheckSchema:
             self._report(self._valid_cell(fused_ms=0.0))
         )
         assert any("fused_ms" in e for e in errors)
-
-    def test_rejects_missing_planner_column(self):
-        cell = self._valid_cell()
-        del cell["planner_ms"]
-        errors = bench_hotpath.check_schema(self._report(cell))
-        assert any("planner_ms" in e for e in errors)
 
     def test_rejects_missing_radix_column(self):
         cell = self._valid_cell()
@@ -199,18 +174,10 @@ class TestCommittedArtifact:
     def test_fused_never_slower(self, artifact):
         assert artifact["speedups"]["fused_vs_unfused_min"] >= 1.0
 
-    def test_planner_within_tolerance_everywhere(self, artifact):
-        tol = bench_hotpath.DEFAULT_PLANNER_TOLERANCE
-        slack = bench_hotpath.DEFAULT_PLANNER_SLACK_MS
-        for cell in artifact["results"]:
-            best = min(cell[f"{e}_ms"] for e in bench_hotpath.STATIC_ENGINES)
-            assert cell["planner_ms"] <= tol * best + slack, cell["name"]
-
     def test_radix_gate_holds(self, artifact):
-        # Same check `make radix-gate` runs: recompute the gate from the
-        # committed numbers and require it to pass at the default floor.
+        # Recompute the radix gate from the committed numbers.
         report = json.loads(json.dumps(artifact))
-        assert bench_hotpath.apply_radix_gate(report) is True, (
+        assert apply_gates(report, [RADIX_GATE]) is True, (
             report["radix_gate"]["failures"]
         )
 

@@ -1,5 +1,6 @@
 """Schema + gate tests for benchmarks/bench_service.py (tiny grid)."""
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 import bench_service  # noqa: E402
+from _artifact import apply_gates  # noqa: E402
 
 pytestmark = pytest.mark.service
 
@@ -64,23 +66,24 @@ class TestRunGrid:
 
     def test_gate_pass_fail_and_missing_cell(self, smoke_report):
         report = json.loads(json.dumps(smoke_report))  # work on a copy
+        (gate,) = bench_service.GATES
+
+        def gated(**thresholds):
+            return apply_gates(report, [dataclasses.replace(
+                gate, thresholds={**gate.thresholds, **thresholds}
+            )])
+
         # The smoke grid has no load-mid cell: the gate must fail loudly,
         # not silently pass.
-        assert bench_service.apply_gate(report, min_speedup=0.0) is False
+        assert gated(min_speedup=0.0) is False
         assert any("load-mid" in f for f in report["gate"]["failures"])
         # Gating against the smoke cell itself exercises both branches.
-        assert bench_service.apply_gate(
-            report, min_speedup=0.0, p99_budget_ms=1e9, cell_name="smoke"
-        ) is True
+        assert gated(min_speedup=0.0, p99_budget_ms=1e9, cell="smoke") is True
         assert report["gate"]["passed"] is True
-        assert bench_service.apply_gate(
-            report, min_speedup=1e9, cell_name="smoke"
-        ) is False
+        assert gated(min_speedup=1e9, cell="smoke") is False
         assert report["gate"]["failures"]
         # p99 budget violation is its own failure mode
-        assert bench_service.apply_gate(
-            report, min_speedup=0.0, p99_budget_ms=-1e9, cell_name="smoke"
-        ) is False
+        assert gated(min_speedup=0.0, p99_budget_ms=-1e9, cell="smoke") is False
         assert any("p99" in f for f in report["gate"]["failures"])
         # gate block itself must stay schema-valid
         assert bench_service.check_schema(report) == []
@@ -157,9 +160,7 @@ class TestCommittedArtifact:
         assert bench_service.check_schema(artifact) == []
 
     def test_artifact_passed_its_gate(self, artifact):
-        gate = artifact["gate"]
-        assert gate["passed"] is True
-        assert gate["min_speedup"] >= bench_service.DEFAULT_MIN_SPEEDUP
+        assert apply_gates(artifact, bench_service.GATES) is True
 
     def test_artifact_mid_cell_hits_two_x(self, artifact):
         """The PR's acceptance claim: >= 2x batched throughput at the
