@@ -18,9 +18,9 @@ Two cell kinds:
   asked of the host.
 * **kill-resume** — a child process (this script, ``--child-run``)
   starts the same spill run with a per-chunk delay; the parent polls
-  the manifest until some chunks are durably committed, SIGKILLs the
-  child mid-run, then reruns it with ``--resume``.  The gate requires
-  the resumed run to complete from the checkpoint with **zero
+  the spill journal until some chunks are durably committed, SIGKILLs
+  the child mid-run, then reruns it with ``--resume``.  The gate
+  requires the resumed run to complete from the journal with **zero
   re-emitted chunks** (no committed index is ever rewritten) and a
   byte-identical final result.
 
@@ -58,6 +58,7 @@ from repro.outofcore import (
     CapacitySorter,
     parse_memory_size,
     plan_budget,
+    read_journal,
     write_batch_file,
 )
 
@@ -188,16 +189,9 @@ def run_child(args) -> int:
 
 
 # -- kill-resume: parent side --------------------------------------------
-def _manifest_chunks(spill_dir: Path) -> list:
-    manifest = spill_dir / "manifest.json"
-    if not manifest.exists():
-        return []
-    try:
-        payload = json.loads(manifest.read_text())
-    except ValueError:
-        return []  # torn read mid-rewrite; poll again
-    chunks = payload.get("chunks", [])
-    return chunks if isinstance(chunks, list) else []
+def _journal_chunks(spill_dir: Path) -> list:
+    # read_journal ignores a record torn mid-append, so polling is safe.
+    return [record.as_dict() for record in read_journal(spill_dir)]
 
 
 def _child_argv(run_dir: Path, *, seed: int, delay_ms: float,
@@ -222,7 +216,7 @@ def run_kill_resume_cell(*, seed, work_dir: Path, timeout_s: float = 90.0) -> di
     plan = plan_budget(KILL_ROWS, KILL_COLS, "float64", KILL_BUDGET)
 
     # First run: paced so the parent can observe committed chunks and
-    # kill mid-run with work both behind and ahead of the manifest.
+    # kill mid-run with work both behind and ahead of the journal.
     child = subprocess.Popen(
         _child_argv(run_dir, seed=seed, delay_ms=KILL_DELAY_MS, resume=False),
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
@@ -230,7 +224,7 @@ def run_kill_resume_cell(*, seed, work_dir: Path, timeout_s: float = 90.0) -> di
     deadline = time.monotonic() + timeout_s
     pre_kill = []
     while time.monotonic() < deadline:
-        chunks = _manifest_chunks(spill_dir)
+        chunks = _journal_chunks(spill_dir)
         if 2 <= len(chunks) < plan.num_chunks:
             pre_kill = chunks
             break
@@ -243,7 +237,7 @@ def run_kill_resume_cell(*, seed, work_dir: Path, timeout_s: float = 90.0) -> di
     child.wait(timeout=timeout_s)
     pre_kill_indices = sorted(int(c["index"]) for c in pre_kill)
 
-    # Resume run: no pacing; must finish from the checkpoint.
+    # Resume run: no pacing; must finish from the journal.
     t0 = time.perf_counter()
     resumed = subprocess.run(
         _child_argv(run_dir, seed=seed, delay_ms=0.0, resume=True),
@@ -255,7 +249,7 @@ def run_kill_resume_cell(*, seed, work_dir: Path, timeout_s: float = 90.0) -> di
         if line.startswith("CHILD_STATS "):
             stats = json.loads(line[len("CHILD_STATS "):])
 
-    final = _manifest_chunks(spill_dir)
+    final = _journal_chunks(spill_dir)
     final_indices = sorted(int(c["index"]) for c in final)
     rows_final = sum(int(c["rows"]) for c in final)
     # Zero re-emission: every pre-kill index survives untouched
@@ -389,7 +383,7 @@ def _oversubscribed(report: dict, t) -> list:
 
 
 def _kill_resume(report: dict, t) -> list:
-    """The resumed run completes from checkpoint with zero re-emits."""
+    """The resumed run completes from the journal with zero re-emits."""
     kill = next((c for c in report["results"]
                  if c.get("kind") == "kill-resume"), None)
     if kill is None:

@@ -116,11 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cap.add_argument(
         "--spill-dir", required=True,
-        help="run directory for input, sorted chunks, manifest, checkpoint",
+        help="run directory for the input, the spill file and its journal",
     )
     p_cap.add_argument(
         "--resume", action="store_true",
-        help="continue a killed run from its manifest/checkpoint",
+        help="continue a killed run from its spill journal",
     )
     p_cap.add_argument(
         "--reclaim", action="store_true",

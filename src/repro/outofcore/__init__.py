@@ -4,10 +4,10 @@ The paper's Table 1 is a capacity claim — 2M arrays of n=1000 sorted
 in place on an 11.5 GB card.  This package extends that claim to the
 host: given a declared memory budget, sort a batch of any size by
 planning a chunk schedule (:mod:`~repro.outofcore.budget`), spilling
-sorted chunks to crash-safe on-disk files
-(:mod:`~repro.outofcore.spill`), and streaming each chunk through the
-existing planner/arena hot path (:mod:`~repro.outofcore.capacity`) —
-with checkpointed, resumable runs and a graceful-degradation ladder
+sorted chunks to one crash-safe spill file behind an append-only
+journal (:mod:`~repro.outofcore.spill`), and sorting each chunk through
+the existing planner/arena hot path (:mod:`~repro.outofcore.capacity`) —
+with journaled, resumable runs and a graceful-degradation ladder
 instead of ``MemoryError``.
 
 See ``docs/capacity.md`` for the budget model, the spill directory
@@ -28,11 +28,12 @@ from .capacity import CapacityResult, CapacitySorter, CapacityStats
 from .spill import (
     BatchFile,
     ChunkRecord,
-    MANIFEST_SCHEMA,
+    JOURNAL_SCHEMA,
     SpillCorruptionError,
     SpillDirectoryError,
     SpillError,
     SpillStore,
+    read_journal,
     write_batch_file,
 )
 
@@ -45,7 +46,7 @@ __all__ = [
     "CapacityStats",
     "ChunkRecord",
     "ENGINE_EXTRA_COPIES",
-    "MANIFEST_SCHEMA",
+    "JOURNAL_SCHEMA",
     "SAFETY_FACTOR",
     "SpillCorruptionError",
     "SpillDirectoryError",
@@ -54,6 +55,7 @@ __all__ = [
     "format_memory_size",
     "parse_memory_size",
     "plan_budget",
+    "read_journal",
     "working_set_bytes_per_row",
     "write_batch_file",
 ]

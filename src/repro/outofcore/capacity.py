@@ -13,21 +13,19 @@ Two sinks:
 * :meth:`CapacitySorter.sort` — array sink: sorts an addressable batch
   (often an ``np.memmap``) chunk-by-chunk with bounded working memory;
   no disk state, not resumable.
-* :meth:`CapacitySorter.run` — spill sink: ingestion goes through a
-  :class:`~repro.core.streaming.StreamingSorter` whose emitted batches
-  are committed to a :class:`~repro.outofcore.spill.SpillStore`; after
-  every committed chunk the streamer's
-  :meth:`~repro.core.streaming.StreamingSorter.checkpoint` is persisted
-  next to the manifest, so a ``SIGKILL`` mid-run loses at most the
-  chunk in flight.  ``resume=True`` restores the checkpoint (or
-  reconstructs one from the manifest alone), skips every committed
-  chunk, and continues — no committed chunk is ever re-emitted.
+* :meth:`CapacitySorter.run` — spill sink: each chunk is read from the
+  durable source into one reusable buffer, sorted there in place, and
+  committed to a :class:`~repro.outofcore.spill.SpillStore` (one spill
+  file, one append-only journal), so a ``SIGKILL`` mid-run loses at
+  most the chunk in flight.  ``resume=True`` replays the journal,
+  skips every committed chunk, and continues from the journal's ingest
+  cursor — no committed chunk is ever re-emitted.
 
 Degradation ladder — a multi-hour run must not die to ``MemoryError``:
 
-1. **shrink** — on allocation failure the chunk row count halves (and
-   the streaming pipeline is rebuilt at the smaller size; the rows of
-   the failed chunk are re-read from the durable input);
+1. **shrink** — on allocation failure the chunk row count halves and
+   the failed chunk's rows are re-cut from the committed frontier (on
+   the spill sink, re-read from the durable input);
 2. **serial fallback** — at the one-row floor the driver abandons the
    engine entirely and sorts small row blocks with in-place
    ``ndarray.sort``, the minimum-footprint path that still makes
@@ -48,7 +46,6 @@ from typing import Callable, Dict, Iterator, Optional, Tuple, Union
 import numpy as np
 
 from ..core.config import DEFAULT_CONFIG, SortConfig
-from ..core.streaming import StreamCheckpoint, StreamingSorter, StreamStats
 from .budget import BudgetPlan, parse_memory_size, plan_budget
 from .spill import BatchFile, SpillStore
 
@@ -69,7 +66,7 @@ class CapacityStats:
 
     chunks_planned: int = 0
     chunks_committed: int = 0
-    #: Chunks adopted from a previous run's manifest instead of re-sorted.
+    #: Chunks adopted from a previous run's journal instead of re-sorted.
     chunks_resumed: int = 0
     #: Chunks re-committed under an existing index (at-least-once retry).
     chunks_recommitted: int = 0
@@ -124,18 +121,6 @@ class CapacityResult:
         for start, chunk in self.iter_chunks():
             out[start : start + chunk.shape[0]] = chunk
         return out
-
-
-@dataclasses.dataclass
-class _RunState:
-    """Mutable bookkeeping shared between ``run()`` and its commit callback."""
-
-    total_rows: int = 0
-    next_index: int = 0
-    rows_done: int = 0
-    committed_this_run: int = 0
-    rows_this_run: int = 0
-    bytes_written: int = 0
 
 
 class CapacitySorter:
@@ -249,15 +234,39 @@ class CapacitySorter:
             stats.wall_seconds = time.perf_counter() - t0
             return CapacityResult(plan=plan, stats=stats, batch=out)
 
-        chunk_rows = plan.chunk_rows
-        sorter: Optional[object] = self._make_sorter(chunk_rows)
-        cursor = 0
-        index = 0
-        while cursor < total:
-            take = min(chunk_rows, total - cursor)
+        def load(cursor: int, take: int) -> np.ndarray:
             window = out[cursor : cursor + take]
             if not inplace:
                 np.copyto(window, batch[cursor : cursor + take])
+            return window
+
+        self._sort_chunks(plan.chunk_rows, 0, 0, total, load, descending)
+        stats.wall_seconds = time.perf_counter() - t0
+        return CapacityResult(plan=plan, stats=stats, batch=out)
+
+    def _sort_chunks(
+        self,
+        chunk_rows: int,
+        index: int,
+        cursor: int,
+        total: int,
+        load: Callable[[int, int], np.ndarray],
+        descending: bool = False,
+        commit: Optional[Callable[[int, int, np.ndarray], None]] = None,
+    ) -> None:
+        """The chunk loop both sinks share.
+
+        ``load(cursor, take)`` returns the writable window holding rows
+        ``[cursor, cursor + take)``; it is sorted in place and handed to
+        ``commit(index, cursor, window)``.  A ``MemoryError`` halves the
+        chunk and re-loads from the same cursor — the committed
+        frontier; at the one-row floor the serial fallback takes over.
+        """
+        stats = self.stats
+        sorter: Optional[object] = self._make_sorter(chunk_rows)
+        while cursor < total:
+            take = min(chunk_rows, total - cursor)
+            window = load(cursor, take)
             if sorter is None:
                 self._serial_block_sort(window, descending)
                 stats.serial_fallback_chunks += 1
@@ -267,13 +276,13 @@ class CapacitySorter:
                 except MemoryError:
                     chunk_rows, sorter = self._shrink(chunk_rows)
                     continue  # re-cut this region at the smaller size
+            if commit is not None:
+                commit(index, cursor, window)
             stats.chunks_committed += 1
             stats.rows_sorted += take
             cursor += take
             self._report_progress(index, take, cursor, total)
             index += 1
-        stats.wall_seconds = time.perf_counter() - t0
-        return CapacityResult(plan=plan, stats=stats, batch=out)
 
     def _sort_chunk_inplace(self, sorter: object, window: np.ndarray,
                             descending: bool) -> None:
@@ -329,14 +338,14 @@ class CapacitySorter:
 
         ``source`` is an addressable batch or a
         :class:`~repro.outofcore.spill.BatchFile` (windowed file reads —
-        the true out-of-core input path).  Sorted chunks are committed
-        to a :class:`~repro.outofcore.spill.SpillStore`; the streaming
-        checkpoint is persisted after every commit.  With
-        ``resume=True`` a directory holding a previous run's manifest is
+        the true out-of-core input path).  Each chunk is read into one
+        reusable buffer, sorted there in place, and committed to a
+        :class:`~repro.outofcore.spill.SpillStore`.  With
+        ``resume=True`` a directory holding a previous run's journal is
         adopted: committed chunks are skipped (counted as
-        ``chunks_resumed``), the checkpoint restores the ingest cursor,
-        and the run continues to completion.  Ascending order only (the
-        spill format records no order flag).
+        ``chunks_resumed``), the journal's cursor is where ingestion
+        resumes, and the run continues to completion.  Ascending order
+        only (the spill format records no order flag).
         """
         total, row_len, dtype = _source_dims(source)
         stats = self.stats = CapacityStats()
@@ -352,197 +361,33 @@ class CapacitySorter:
                 "chunk_rows": plan.chunk_rows,
             },
         )
-        stats.chunks_resumed = len(store.committed)
-        if store.complete and store.rows_committed >= total:
-            # A finished run resumed again: nothing left to do.
-            stats.wall_seconds = time.perf_counter() - t0
-            return CapacityResult(plan=plan, stats=stats, store=store)
 
-        chunk_rows = plan.chunk_rows
-        state = _RunState(total_rows=total)
-        streamer = self._build_streamer(row_len, dtype, chunk_rows, store, state)
-        cursor = 0
-        if store.committed or resume:
-            cursor = self._restore_streamer(streamer, store, state)
+        def commit(index: int, cursor: int, window: np.ndarray) -> None:
+            record = store.commit_chunk(index, cursor, window)
+            stats.spill_bytes_written += record.nbytes
 
-        read_buf = np.empty((chunk_rows, row_len), dtype=dtype)
-        fallback = False
-        while cursor < total:
-            take = min(chunk_rows, total - cursor)
-            block = _read_rows(source, cursor, cursor + take, read_buf)
-            if fallback:
-                self._fallback_commit(store, state, block)
-                cursor += take
-                continue
-            try:
-                streamer.push_slab(block)
-            except MemoryError:
-                chunk_rows, fallback = self._degrade_streaming(chunk_rows)
-                # Rows staged in the abandoned streamer are re-read from
-                # the durable source: rewind to the committed frontier.
-                if not fallback:
-                    streamer = self._build_streamer(
-                        row_len, dtype, chunk_rows, store, state
-                    )
-                    self._restore_streamer(streamer, store, state,
-                                           use_checkpoint=False)
-                    read_buf = np.empty((chunk_rows, row_len), dtype=dtype)
-                cursor = state.rows_done
-                continue
-            cursor += take
-            self._persist_checkpoint(store, streamer)
-        if not fallback:
-            try:
-                streamer.flush()
-            except MemoryError:
-                # Even the tail does not fit: serial-sort the rows still
-                # staged, re-read from the committed frontier.
-                tail = _read_rows(
-                    source, state.rows_done, total,
-                    np.empty((total - state.rows_done, row_len), dtype=dtype),
+        try:
+            committed = store.committed
+            stats.chunks_resumed = len(committed)
+            # A finished run resumed again has nothing left to do.
+            if not (store.complete and store.rows_committed >= total):
+                read_buf = np.empty((plan.chunk_rows, row_len), dtype=dtype)
+                self._sort_chunks(
+                    plan.chunk_rows,
+                    committed[-1].index + 1 if committed else 0,
+                    store.cursor,
+                    total,
+                    lambda cursor, take: _read_rows(
+                        source, cursor, cursor + take, read_buf
+                    ),
+                    commit=commit,
                 )
-                self._fallback_commit(store, state, tail)
-        store.mark_complete()
-        store.clear_checkpoint()
-        stats.chunks_committed = state.committed_this_run
+                store.mark_complete()
+        finally:
+            store.close()
         stats.chunks_recommitted = store.recommits
-        stats.rows_sorted = state.rows_this_run
-        stats.spill_bytes_written = state.bytes_written
         stats.wall_seconds = time.perf_counter() - t0
         return CapacityResult(plan=plan, stats=stats, store=store)
-
-    # -- spill-sink internals --------------------------------------------
-    def _build_streamer(
-        self,
-        row_len: int,
-        dtype,
-        chunk_rows: int,
-        store: SpillStore,
-        state: _RunState,
-    ) -> StreamingSorter:
-        sorter = self._make_sorter(chunk_rows)
-
-        def on_batch(sorted_rows: np.ndarray) -> None:
-            # ``sorted_rows`` may be an arena view valid only until the
-            # next emission — commit_chunk writes it to disk immediately.
-            record = store.commit_chunk(
-                state.next_index, state.rows_done, sorted_rows
-            )
-            state.next_index += 1
-            state.rows_done += record.rows
-            state.committed_this_run += 1
-            state.rows_this_run += record.rows
-            state.bytes_written += record.nbytes
-            self._report_progress(
-                record.index, record.rows, state.rows_done, state.total_rows
-            )
-
-        return StreamingSorter(
-            row_len,
-            batch_arrays=chunk_rows,
-            dtype=dtype,
-            on_batch=on_batch,
-            sorter=sorter,
-        )
-
-    def _restore_streamer(
-        self,
-        streamer: StreamingSorter,
-        store: SpillStore,
-        state: _RunState,
-        *,
-        use_checkpoint: bool = True,
-    ) -> int:
-        """Rebuild producer state from checkpoint/manifest; return the
-        ingest cursor (rows of input already consumed)."""
-        rows_committed = store.rows_committed
-        batches_committed = len(store.committed)
-        state.next_index = max(
-            (r.index + 1 for r in store.committed), default=0
-        )
-        state.rows_done = rows_committed
-        loaded = store.load_checkpoint() if use_checkpoint else None
-        if loaded is not None:
-            meta, staging = loaded
-            fill = int(meta.get("fill", -1))
-            usable = (
-                int(meta.get("array_size", -1)) == streamer.array_size
-                and fill == staging.shape[0]
-                and 0 <= fill <= streamer.batch_arrays
-                # A checkpoint older than the last commit (killed between
-                # commit and checkpoint save) would replay staged rows
-                # already on disk — fall back to the manifest alone.
-                and int(meta.get("rows_done", -1)) == rows_committed
-            )
-            if usable:
-                streamer.restore(StreamCheckpoint(
-                    array_size=streamer.array_size,
-                    staging=staging,
-                    fill=fill,
-                    next_batch_id=int(
-                        meta.get("next_batch_id", batches_committed)
-                    ),
-                    pending_batch_id=None,
-                    closed=False,
-                    stats=StreamStats(
-                        arrays_in=rows_committed + fill,
-                        batches_out=batches_committed,
-                        arrays_out=rows_committed,
-                    ),
-                ))
-                return rows_committed + fill
-        # No usable checkpoint: the manifest alone is enough (the input
-        # source is durable; only the staged tail is re-read).
-        streamer.restore(StreamCheckpoint(
-            array_size=streamer.array_size,
-            staging=np.empty((0, streamer.array_size), dtype=streamer.dtype),
-            fill=0,
-            next_batch_id=batches_committed,
-            pending_batch_id=None,
-            closed=False,
-            stats=StreamStats(
-                arrays_in=rows_committed,
-                batches_out=batches_committed,
-                arrays_out=rows_committed,
-            ),
-        ))
-        return rows_committed
-
-    def _persist_checkpoint(self, store: SpillStore,
-                            streamer: StreamingSorter) -> None:
-        checkpoint = streamer.checkpoint()
-        store.save_checkpoint(
-            {
-                "array_size": checkpoint.array_size,
-                "fill": checkpoint.fill,
-                "next_batch_id": checkpoint.next_batch_id,
-                "rows_done": checkpoint.stats.arrays_out,
-            },
-            checkpoint.staging,
-        )
-
-    def _degrade_streaming(self, chunk_rows: int) -> Tuple[int, bool]:
-        """Shrink the chunk; at the floor, engage the serial fallback."""
-        if chunk_rows <= MIN_CHUNK_ROWS:
-            return chunk_rows, True
-        self.stats.shrink_events += 1
-        return max(MIN_CHUNK_ROWS, chunk_rows // 2), False
-
-    def _fallback_commit(self, store: SpillStore, state: _RunState,
-                         block: np.ndarray) -> None:
-        """Serial fallback: in-place sort + direct commit, tiny footprint."""
-        work = np.array(block, copy=True)
-        self._serial_block_sort(work, False)
-        record = store.commit_chunk(state.next_index, state.rows_done, work)
-        state.next_index += 1
-        state.rows_done += record.rows
-        state.committed_this_run += 1
-        state.rows_this_run += record.rows
-        state.bytes_written += record.nbytes
-        self.stats.serial_fallback_chunks += 1
-        self._report_progress(
-            record.index, record.rows, state.rows_done, state.total_rows
-        )
 
 
 def _source_dims(

@@ -1,29 +1,35 @@
-"""Spill store: crash-safe on-disk chunk files behind the capacity tier.
+"""Spill store: one spill file and one append-only journal per capacity run.
 
 A run that sorts more data than fits in RAM keeps its intermediate
-state on disk.  :class:`SpillStore` owns one run directory:
+state on disk.  :class:`SpillStore` owns one run directory holding two
+files:
 
-* sorted chunks land as raw binary files (``chunk_000042.bin``) written
-  to a temp name, fsynced, and **renamed into place** — a chunk either
-  exists completely or not at all;
-* a JSON manifest (schema ``repro-spill/v1``) records every committed
-  chunk with its row range, byte size, and CRC32 — the manifest is the
-  single source of truth for what a resumed run may skip, and is itself
-  rewritten atomically on every commit;
-* a checkpoint slot persists the producer-side
-  :class:`~repro.core.streaming.StreamCheckpoint` (staging prefix +
-  batch-id counters) alongside the manifest, so a killed run resumes
-  from the last committed chunk;
-* reads go through :func:`numpy.memmap` windows — verification and
-  output assembly never materialize the whole batch.
+* ``spill.bin`` — the sorted output.  It is sized once to
+  ``total_rows × row_bytes`` (``posix_fallocate``) when the run's meta
+  declares ``total_rows``; each chunk is ``pwrite``-n at its fixed
+  offset ``start_row × row_bytes`` and ``fdatasync``-ed.
+* ``journal.log`` — append-only, schema ``repro-spill/v2``: a header
+  record (run id, ``array_size``, dtype, meta), then one record per
+  committed chunk (index, start row, rows, byte size, CRC32, ingest
+  cursor), and a final ``complete`` record.  Every record is framed
+  with its own length and CRC32, and a chunk's record is appended and
+  ``fdatasync``-ed only after the chunk's bytes are durable — so a
+  commit costs two syncs, and a crash leaves either no record (the
+  chunk is re-sorted) or a record over durable bytes (it is skipped).
 
-Directory hygiene: a directory holding state from a *previous* run
-(manifest present, or stray ``chunk_*.bin``/checkpoint files from a
-dead run that never wrote a manifest) is **refused** with a
-:class:`SpillDirectoryError` unless the caller passes ``resume=True``
-(adopt the committed chunks) or ``reclaim=True`` (delete the stale
-state and start fresh).  Silent mixing of two runs' chunk files is the
-failure mode this guards against.
+Resume replays the journal up to the first torn or CRC-bad record
+(later records are never trusted past a gap); the last record for a
+re-committed index wins.  Reads go through one :func:`numpy.memmap`
+window per chunk, never the whole file, so verification and output
+assembly hold at most one chunk of output in the address space.
+
+Directory hygiene: a directory holding state from a *previous* run (a
+journal, or a spill file from a dead run that never wrote its header)
+is **refused** with a :class:`SpillDirectoryError` unless the caller
+passes ``resume=True`` (adopt the committed chunks) or ``reclaim=True``
+(delete the stale state and start fresh).  A ``repro-spill/v1``
+directory (``manifest.json`` + per-chunk files) is refused the same
+way; only ``reclaim=True`` clears it.
 
 :class:`BatchFile` is the matching *input* abstraction: a file-backed
 ``(rows, row_len)`` batch read in bounded windows (``readinto`` a
@@ -34,13 +40,15 @@ memory budget for more than one chunk.
 from __future__ import annotations
 
 import dataclasses
-import io
+import errno
 import json
 import os
+import struct
 import uuid
+import weakref
 import zlib
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,19 +57,23 @@ from ..statan import runtime as _sanitizer
 __all__ = [
     "BatchFile",
     "ChunkRecord",
-    "MANIFEST_SCHEMA",
+    "JOURNAL_SCHEMA",
     "SpillCorruptionError",
     "SpillDirectoryError",
     "SpillError",
     "SpillStore",
+    "read_journal",
     "write_batch_file",
 ]
 
-MANIFEST_SCHEMA = "repro-spill/v1"
+JOURNAL_SCHEMA = "repro-spill/v2"
 
-_MANIFEST_NAME = "manifest.json"
-_CHECKPOINT_NAME = "checkpoint.npz"
-_CHUNK_FMT = "chunk_{index:06d}.bin"
+_SPILL_NAME = "spill.bin"
+_JOURNAL_NAME = "journal.log"
+#: What a ``repro-spill/v1`` run left behind; refused unless reclaimed.
+_V1_PATTERNS = ("manifest.json", "checkpoint.npz", "chunk_*.bin*")
+#: Journal frame header: payload length and the payload's CRC32.
+_FRAME = struct.Struct("<II")
 _CRC_BLOCK = 4 * 1024 * 1024
 
 
@@ -74,7 +86,7 @@ class SpillDirectoryError(SpillError):
 
 
 class SpillCorruptionError(SpillError):
-    """A chunk file does not match its manifest record (size or CRC)."""
+    """Committed chunk bytes do not match their journal record."""
 
 
 def _crc32_array(array: np.ndarray) -> int:
@@ -95,49 +107,109 @@ def _fsync_path(path: Path) -> None:
     try:
         os.fsync(fd)
     except OSError:
-        return  # e.g. directories on some filesystems; rename already landed
+        return  # e.g. directories on some filesystems
     finally:
         os.close(fd)
 
 
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    _fsync_path(path.parent)
+def _preallocate(fd: int, length: int) -> None:
+    """Reserve ``length`` bytes behind ``fd``; a filesystem without
+    fallocate gets a sparse extension instead."""
+    try:
+        os.posix_fallocate(fd, 0, length)
+    except OSError as exc:
+        if exc.errno not in (errno.EOPNOTSUPP, errno.EINVAL):
+            raise
+        if os.fstat(fd).st_size < length:
+            os.ftruncate(fd, length)
+
+
+def _close_fds(fds: List[int]) -> None:
+    for fd in fds:
+        os.close(fd)
+
+
+def _frame(payload: Dict[str, object]) -> bytes:
+    body = json.dumps(payload, separators=(",", ":")).encode()
+    return _FRAME.pack(len(body), zlib.crc32(body)) + body
+
+
+def _replay(path: Path) -> Tuple[List[Dict[str, Any]], int]:
+    """The intact records of a journal and the byte length they span.
+
+    Replay stops at the first torn, CRC-bad or unparsable frame: nothing
+    past a gap is trusted.
+    """
+    data = path.read_bytes()
+    records: List[Dict[str, Any]] = []
+    offset = 0
+    while offset + _FRAME.size <= len(data):
+        length, crc = _FRAME.unpack_from(data, offset)
+        start = offset + _FRAME.size
+        body = data[start : start + length]
+        if len(body) < length or zlib.crc32(body) != crc:
+            break
+        try:
+            payload = json.loads(body)
+        except ValueError:
+            break
+        if not isinstance(payload, dict):
+            break
+        records.append(payload)
+        offset = start + length
+    return records, offset
+
+
+def _chunk_records(frames: List[Dict[str, Any]]) -> Dict[int, "ChunkRecord"]:
+    """Chunk records by index; the last record for an index wins."""
+    latest: Dict[int, ChunkRecord] = {}
+    for frame in frames:
+        if frame.get("kind") == "chunk":
+            record = ChunkRecord.from_dict(frame)
+            latest[record.index] = record
+    return latest
+
+
+def read_journal(directory) -> List["ChunkRecord"]:
+    """The committed chunks of the run in ``directory``, by index.
+
+    Read-only: safe to poll while another process commits, since a torn
+    tail record is ignored.  A directory with no journal has none.
+    """
+    path = Path(directory) / _JOURNAL_NAME
+    try:
+        frames, _ = _replay(path)
+    except FileNotFoundError:
+        return []
+    latest = _chunk_records(frames)
+    return [latest[i] for i in sorted(latest)]
 
 
 @dataclasses.dataclass(frozen=True)
 class ChunkRecord:
-    """One committed chunk in the manifest."""
+    """One committed chunk: where it lies in the spill file, its CRC32,
+    and the ingest cursor (input rows consumed) once it is durable."""
 
     index: int
     start_row: int
     rows: int
-    filename: str
     nbytes: int
     crc32: int
+    cursor: int
 
     def as_dict(self) -> Dict[str, object]:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "ChunkRecord":
-        return cls(
-            index=int(payload["index"]),
-            start_row=int(payload["start_row"]),
-            rows=int(payload["rows"]),
-            filename=str(payload["filename"]),
-            nbytes=int(payload["nbytes"]),
-            crc32=int(payload["crc32"]),
-        )
+    def from_dict(cls, payload: Dict[str, Any]) -> "ChunkRecord":
+        return cls(**{
+            field.name: int(payload[field.name])
+            for field in dataclasses.fields(cls)
+        })
 
 
 class SpillStore:
-    """Crash-safe chunk files + manifest for one capacity run.
+    """One spill file + append-only journal for one capacity run.
 
     Parameters
     ----------
@@ -148,15 +220,19 @@ class SpillStore:
     dtype:
         Element dtype of every chunk.
     resume:
-        Adopt an existing manifest in ``directory`` — committed chunks
-        are validated (file present, size matches) and become skippable
-        work.  With no manifest present, starts a fresh run.
+        Adopt the journal in ``directory`` — its replayed chunks are
+        checked against the spill file's size and become skippable
+        work.  With no journal present, starts a fresh run.
     reclaim:
-        Delete stale run state (manifest, chunk files, checkpoint) left
-        by a previous run before starting fresh.
+        Delete stale run state (journal, spill file, or a
+        ``repro-spill/v1`` directory's files) before starting fresh.
     meta:
-        Run-level metadata persisted in the manifest (e.g. total rows,
-        budget) — available to a resuming process.
+        Run-level metadata persisted in the journal header (e.g. total
+        rows, budget) — available to a resuming process.  A
+        ``total_rows`` entry sizes the spill file up front.
+
+    The store holds the two files open for writing until :meth:`close`
+    (or garbage collection); reads need neither descriptor.
     """
 
     def __init__(
@@ -178,115 +254,132 @@ class SpillStore:
         self.meta: Dict[str, object] = dict(meta or {})
         self.run_id = uuid.uuid4().hex
         self.resumed_from: Optional[str] = None
+        self._row_bytes = self.array_size * self.dtype.itemsize
+        self._spill_path = self.directory / _SPILL_NAME
+        self._journal_path = self.directory / _JOURNAL_NAME
         self._records: Dict[int, ChunkRecord] = {}
         self._recommits = 0
+        self._complete = False
 
-        manifest_path = self.directory / _MANIFEST_NAME
-        stale = self._stale_files()
-        if manifest_path.exists():
-            if resume:
-                self._adopt_manifest(manifest_path)
-            elif reclaim:
-                self._reclaim(manifest_path)
-            else:
-                previous = self._peek_run_id(manifest_path)
-                raise SpillDirectoryError(
-                    f"spill directory {self.directory} already holds a "
-                    f"manifest from run {previous} "
-                    f"({len(self._peek_chunks(manifest_path))} committed "
-                    "chunk(s)); pass resume=True to continue that run or "
-                    "reclaim=True to delete its state and start fresh"
-                )
-        elif stale and not reclaim:
-            names = ", ".join(sorted(p.name for p in stale)[:5])
+        v1 = [p for pattern in _V1_PATTERNS for p in self.directory.glob(pattern)]
+        stale = v1 + [
+            p for p in (self._journal_path, self._spill_path) if p.exists()
+        ]
+        if v1 and not reclaim:
+            names = ", ".join(sorted(p.name for p in v1)[:5])
             raise SpillDirectoryError(
-                f"spill directory {self.directory} holds {len(stale)} "
-                f"chunk/checkpoint file(s) from a dead run with no "
-                f"manifest ({names}{', ...' if len(stale) > 5 else ''}); "
-                "pass reclaim=True to delete them and start fresh"
+                f"spill directory {self.directory} holds repro-spill/v1 "
+                f"state ({names}{', ...' if len(v1) > 5 else ''}), which "
+                f"this {JOURNAL_SCHEMA} store cannot resume; pass "
+                "reclaim=True to delete it and start fresh"
             )
-        elif stale:
-            for path in stale:
-                path.unlink()
-        if not manifest_path.exists() or not resume:
-            self._write_manifest()
+        if resume and not v1 and self._journal_path.exists():
+            self._adopt()
+            return
+        if stale and not reclaim:
+            raise SpillDirectoryError(self._refusal())
+        for path in stale:
+            path.unlink()
+        self._create()
 
     # -- hygiene ----------------------------------------------------------
-    def _stale_files(self) -> List[Path]:
-        out = list(self.directory.glob("chunk_*.bin"))
-        out += list(self.directory.glob("chunk_*.bin.tmp"))
-        checkpoint = self.directory / _CHECKPOINT_NAME
-        if checkpoint.exists():
-            out.append(checkpoint)
-        return out
-
-    @staticmethod
-    def _peek_run_id(manifest_path: Path) -> str:
-        try:
-            payload = json.loads(manifest_path.read_text())
-            return str(payload.get("run_id", "<unknown>"))
-        except (OSError, ValueError):
-            return "<unreadable>"
-
-    @staticmethod
-    def _peek_chunks(manifest_path: Path) -> List[object]:
-        try:
-            payload = json.loads(manifest_path.read_text())
-            chunks = payload.get("chunks", [])
-            return chunks if isinstance(chunks, list) else []
-        except (OSError, ValueError):
-            return []
-
-    def _reclaim(self, manifest_path: Path) -> None:
-        for path in self._stale_files():
-            path.unlink()
-        manifest_path.unlink()
-
-    def _adopt_manifest(self, manifest_path: Path) -> None:
-        try:
-            payload = json.loads(manifest_path.read_text())
-        except ValueError as exc:
-            raise SpillCorruptionError(
-                f"manifest {manifest_path} is not valid JSON: {exc}"
-            ) from exc
-        if payload.get("schema") != MANIFEST_SCHEMA:
-            raise SpillError(
-                f"manifest schema {payload.get('schema')!r} is not "
-                f"{MANIFEST_SCHEMA!r}"
+    def _refusal(self) -> str:
+        if not self._journal_path.exists():
+            return (
+                f"spill directory {self.directory} holds a {_SPILL_NAME} "
+                "with no journal (a dead run that never wrote its "
+                "header); pass reclaim=True to delete it and start fresh"
             )
-        if int(payload["array_size"]) != self.array_size:
+        frames, _ = _replay(self._journal_path)
+        previous = frames[0].get("run_id", "<unknown>") if frames else "<unreadable>"
+        return (
+            f"spill directory {self.directory} already holds a journal "
+            f"from run {previous} ({len(_chunk_records(frames))} committed "
+            "chunk(s)); pass resume=True to continue that run or "
+            "reclaim=True to delete its state and start fresh"
+        )
+
+    def _create(self) -> None:
+        spill_fd = os.open(self._spill_path, os.O_RDWR | os.O_CREAT, 0o644)
+        journal_fd = os.open(
+            self._journal_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
+        )
+        self._open(spill_fd, journal_fd)
+        self._append({
+            "kind": "header",
+            "schema": JOURNAL_SCHEMA,
+            "run_id": self.run_id,
+            "array_size": self.array_size,
+            "dtype": self.dtype.str,
+            "meta": self.meta,
+        })
+        _fsync_path(self.directory)  # both files' names are durable
+
+    def _adopt(self) -> None:
+        frames, intact = _replay(self._journal_path)
+        header = frames[0] if frames else {}
+        if header.get("kind") != "header" or header.get("schema") != JOURNAL_SCHEMA:
             raise SpillError(
-                f"manifest is for array_size {payload['array_size']}, "
+                f"journal {self._journal_path} has no intact "
+                f"{JOURNAL_SCHEMA} header; pass reclaim=True to start fresh"
+            )
+        if int(header["array_size"]) != self.array_size:
+            raise SpillError(
+                f"journal is for array_size {header['array_size']}, "
                 f"this run uses {self.array_size}"
             )
-        if np.dtype(payload["dtype"]) != self.dtype:
+        if np.dtype(header["dtype"]) != self.dtype:
             raise SpillError(
-                f"manifest is for dtype {payload['dtype']}, this run uses "
+                f"journal is for dtype {header['dtype']}, this run uses "
                 f"{self.dtype.str}"
             )
-        self.resumed_from = str(payload.get("run_id"))
-        self.run_id = self.resumed_from
-        stored_meta = payload.get("meta", {})
+        self.resumed_from = self.run_id = str(header.get("run_id"))
+        stored_meta = header.get("meta", {})
         if isinstance(stored_meta, dict):
-            merged = dict(stored_meta)
-            merged.update(self.meta)
-            self.meta = merged
-        for entry in payload.get("chunks", []):
-            record = ChunkRecord.from_dict(entry)
-            path = self.directory / record.filename
-            if not path.exists():
-                raise SpillCorruptionError(
-                    f"manifest lists {record.filename} but the file is "
-                    "missing; the directory was tampered with"
-                )
-            if path.stat().st_size != record.nbytes:
-                raise SpillCorruptionError(
-                    f"{record.filename} is {path.stat().st_size} bytes, "
-                    f"manifest says {record.nbytes}"
-                )
-            self._records[record.index] = record
+            self.meta = {**stored_meta, **self.meta}
+        self._records = _chunk_records(frames)
+        self._complete = any(f.get("kind") == "complete" for f in frames)
+        try:
+            size = self._spill_path.stat().st_size
+        except FileNotFoundError:
+            size = -1
+        end = max(
+            (r.start_row * self._row_bytes + r.nbytes
+             for r in self._records.values()),
+            default=0,
+        )
+        if size < end:
+            raise SpillCorruptionError(
+                f"journal lists chunks up to byte {end} but {_SPILL_NAME} "
+                f"is {'missing' if size < 0 else f'{size} bytes'}; the "
+                "directory was tampered with"
+            )
+        spill_fd = os.open(self._spill_path, os.O_RDWR)
+        journal_fd = os.open(self._journal_path, os.O_WRONLY | os.O_APPEND)
+        # Drop a torn tail so new records follow the last intact one.
+        os.ftruncate(journal_fd, intact)
+        self._open(spill_fd, journal_fd)
 
-    # -- manifest ---------------------------------------------------------
+    def _open(self, spill_fd: int, journal_fd: int) -> None:
+        self._spill_fd, self._journal_fd = spill_fd, journal_fd
+        self._finalizer = weakref.finalize(
+            self, _close_fds, [spill_fd, journal_fd]
+        )
+        total_rows = self.meta.get("total_rows")
+        if isinstance(total_rows, int) and total_rows > 0:
+            _preallocate(spill_fd, total_rows * self._row_bytes)
+
+    def close(self) -> None:
+        """Release the write descriptors; committed chunks stay readable."""
+        self._finalizer()
+        self._spill_fd = self._journal_fd = -1  # later writes: EBADF
+
+    def _append(self, payload: Dict[str, object]) -> None:
+        """Append one framed record and make it durable."""
+        os.write(self._journal_fd, _frame(payload))
+        os.fdatasync(self._journal_fd)
+
+    # -- journal state ----------------------------------------------------
     @property
     def committed(self) -> List[ChunkRecord]:
         """Committed chunks, ordered by index."""
@@ -301,95 +394,92 @@ class SpillStore:
         return sum(r.nbytes for r in self._records.values())
 
     @property
+    def cursor(self) -> int:
+        """Input rows consumed by the committed chunks (the resume point)."""
+        return max((r.cursor for r in self._records.values()), default=0)
+
+    @property
     def recommits(self) -> int:
         """Chunks re-committed under an index that already existed."""
         return self._recommits
 
     @property
     def complete(self) -> bool:
-        return bool(self.meta.get("complete", False))
+        return self._complete
 
     def mark_complete(self) -> None:
-        self.meta["complete"] = True
-        self._write_manifest()
-
-    def _write_manifest(self) -> None:
-        payload = {
-            "schema": MANIFEST_SCHEMA,
-            "run_id": self.run_id,
-            "array_size": self.array_size,
-            "dtype": self.dtype.str,
-            "meta": self.meta,
-            "chunks": [r.as_dict() for r in self.committed],
-        }
-        _atomic_write_bytes(
-            self.directory / _MANIFEST_NAME,
-            json.dumps(payload, indent=1).encode(),
-        )
+        self._append({"kind": "complete"})
+        self._complete = True
 
     # -- chunk I/O --------------------------------------------------------
     def commit_chunk(
         self, index: int, start_row: int, rows: np.ndarray
     ) -> ChunkRecord:
-        """Durably write one sorted chunk and record it in the manifest.
+        """Durably write one sorted chunk, then journal it.
 
-        Write-to-temp + fsync + rename, then an atomic manifest rewrite:
-        a crash at any point leaves either the previous manifest (chunk
-        absent — it will be re-sorted) or the new one (chunk committed —
-        it will be skipped).  Committing an index that already exists
-        replaces it (the at-least-once retry path) and ticks
-        :attr:`recommits`.
+        The bytes go to their fixed offset in the spill file and are
+        ``fdatasync``-ed before the record is appended and synced: a
+        crash at any point leaves either no record (chunk absent — it
+        will be re-sorted) or a record over durable bytes (chunk
+        committed — it will be skipped).  Committing an index that
+        already exists replaces it (the at-least-once retry path) and
+        ticks :attr:`recommits`.
         """
         rows = np.ascontiguousarray(rows, dtype=self.dtype)
         if rows.ndim != 2 or rows.shape[1] != self.array_size:
             raise SpillError(
                 f"chunk must be (rows, {self.array_size}), got {rows.shape}"
             )
-        filename = _CHUNK_FMT.format(index=index)
-        tmp = self.directory / (filename + ".tmp")
-        with open(tmp, "wb") as handle:
-            rows.tofile(handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.directory / filename)
-        _fsync_path(self.directory)
+        view = memoryview(rows).cast("B")
+        offset = int(start_row) * self._row_bytes
+        written = 0
+        while written < len(view):
+            written += os.pwrite(
+                self._spill_fd, view[written:], offset + written
+            )
+        os.fdatasync(self._spill_fd)
         record = ChunkRecord(
             index=int(index),
             start_row=int(start_row),
             rows=int(rows.shape[0]),
-            filename=filename,
             nbytes=int(rows.nbytes),
             crc32=_crc32_array(rows),
+            cursor=int(start_row) + int(rows.shape[0]),
         )
-        if index in self._records:
+        if record.index in self._records:
             self._recommits += 1
             if _sanitizer.enabled():
-                # Re-committing an index replaces its bytes on disk:
-                # memmap views from open_chunk on the old file are stale.
-                _sanitizer.new_epoch(("SpillStore.chunk", id(self), int(index)))
-        self._records[int(index)] = record
-        self._write_manifest()
+                # Re-committing an index rewrites its bytes in place:
+                # memmap windows from open_chunk on them are stale.
+                _sanitizer.new_epoch(("SpillStore.chunk", id(self), record.index))
+        self._append({"kind": "chunk", **record.as_dict()})
+        self._records[record.index] = record
         return record
 
     def open_chunk(self, record: ChunkRecord, *, verify: bool = False) -> np.ndarray:
         """Read-only :func:`numpy.memmap` window over one committed chunk."""
-        path = self.directory / record.filename
-        if not path.exists() or path.stat().st_size != record.nbytes:
+        offset = record.start_row * self._row_bytes
+        try:
+            size = self._spill_path.stat().st_size
+        except FileNotFoundError:
+            size = -1
+        if size < offset + record.nbytes:
             raise SpillCorruptionError(
-                f"{record.filename}: missing or wrong size on disk"
+                f"chunk {record.index}: {_SPILL_NAME} is missing or ends "
+                f"before byte {offset + record.nbytes}"
             )
         chunk = np.memmap(
-            path, dtype=self.dtype, mode="r",
+            self._spill_path, dtype=self.dtype, mode="r", offset=offset,
             shape=(record.rows, self.array_size),
         )
         if verify and _crc32_array(chunk) != record.crc32:
             raise SpillCorruptionError(
-                f"{record.filename}: CRC mismatch (file corrupted)"
+                f"chunk {record.index}: CRC mismatch (spill file corrupted)"
             )
         if _sanitizer.enabled():
             chunk = _sanitizer.track_view(
                 chunk, ("SpillStore.chunk", id(self), int(record.index)),
-                label=f"SpillStore.open_chunk({record.filename})",
+                label=f"SpillStore.open_chunk({record.index})",
             )
         return chunk
 
@@ -405,42 +495,6 @@ class SpillStore:
         """Yield ``(start_row, memmap)`` per committed chunk, in row order."""
         for record in sorted(self.committed, key=lambda r: r.start_row):
             yield record.start_row, self.open_chunk(record, verify=verify)
-
-    # -- checkpoint -------------------------------------------------------
-    def save_checkpoint(self, payload: Dict[str, object],
-                        staging: np.ndarray) -> None:
-        """Atomically persist the streaming checkpoint next to the manifest."""
-        buffer = io.BytesIO()
-        np.savez(
-            buffer,
-            staging=np.ascontiguousarray(staging, dtype=self.dtype),
-            meta=np.frombuffer(json.dumps(payload).encode(), dtype=np.uint8),
-        )
-        _atomic_write_bytes(self.directory / _CHECKPOINT_NAME, buffer.getvalue())
-
-    def load_checkpoint(self) -> Optional[Tuple[Dict[str, object], np.ndarray]]:
-        """Load the persisted checkpoint, or ``None`` if absent/unreadable.
-
-        An unreadable checkpoint is treated as absent (the manifest alone
-        is enough to resume — only a partial staging tail is lost, and
-        the input source is durable), but the corruption is surfaced via
-        the returned ``None`` path's caller counting it.
-        """
-        path = self.directory / _CHECKPOINT_NAME
-        if not path.exists():
-            return None
-        try:
-            with np.load(path) as archive:
-                meta = json.loads(bytes(archive["meta"]).decode())
-                staging = np.array(archive["staging"], dtype=self.dtype)
-        except (OSError, ValueError, KeyError, zlib.error):
-            return None
-        return meta, staging
-
-    def clear_checkpoint(self) -> None:
-        path = self.directory / _CHECKPOINT_NAME
-        if path.exists():
-            path.unlink()
 
 
 @dataclasses.dataclass

@@ -1,16 +1,21 @@
 """Crash-safety lint for durable-write paths (spill store and planner).
 
-The out-of-core tier's whole resumability story rests on one shape:
-**tmp-write → fsync → rename**.  A chunk or manifest written with a
-bare ``open(path, "w")`` can be torn by a crash mid-write, and a
-rename without an fsync can land an *empty* file after power loss —
-the manifest then points at garbage and the "resume from checkpoint"
-promise is broken.
+The out-of-core tier's whole resumability story rests on data being
+durable before anything points at it.  Two write shapes reach that:
+
+* **tmp-write → fsync → rename** for files replaced whole: a file
+  written with a bare ``open(path, "w")`` can be torn by a crash
+  mid-write, and a rename without an fsync can land an *empty* file
+  after power loss;
+* **write → fsync in place** for files written through a raw
+  descriptor (the spill file's fixed-offset chunks, the journal's
+  appended records): a write the function never syncs can still be in
+  the page cache when the next record claims it is durable.
 
 This pass checks every function in the durable-write scope
 (``repro/outofcore/`` and ``repro/planner/`` — the spill store, and the
-planner package, so any file it ever writes must be durable) for that
-shape:
+planner package, so any file it ever writes must be durable) for those
+shapes:
 
 * a write-mode ``open()`` / ``os.fdopen()`` in a function with **no**
   ``os.replace`` / ``os.rename`` is a bare durable write (the data is
@@ -18,22 +23,26 @@ shape:
 * a write in a function that renames but never calls ``os.fsync`` /
   ``os.fdatasync`` is renamed-without-fsync (the rename can be durable
   before the data is);
+* a descriptor write (``os.write`` / ``os.pwrite`` / ``os.writev`` /
+  ``os.pwritev`` — how an fd from ``os.open`` with write flags is
+  written) with no ``os.fsync`` / ``os.fdatasync`` *after* it in the
+  same function is an unsynced descriptor write;
 * ``Path.write_text`` / ``Path.write_bytes`` are always flagged in
-  scope — they cannot express the staged shape at all.
+  scope — they cannot express either shape at all.
 
 Read-mode opens are exempt.  Functions, not files, are the unit: the
-repo's idiom stages and renames inside one function
-(``_atomic_write_bytes``, ``commit_chunk``), so a function-local check
-matches how the code is actually written while staying simple enough
-to trust.  A legitimately non-durable write (a debug dump) takes a
-same-line ``# statan: ignore[crash-safety] -- reason``.
+repo's idiom writes and syncs inside one function (``commit_chunk``,
+``SpillStore._append``), so a function-local check matches how the code
+is actually written while staying simple enough to trust.  A
+legitimately non-durable write (a debug dump) takes a same-line
+``# statan: ignore[crash-safety] -- reason``.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
 from .findings import Finding
 
@@ -44,6 +53,8 @@ __all__ = ["check_crash_safety"]
 _SCOPE_RE = re.compile(r"(^|/)repro/(outofcore|planner)/")
 
 _WRITE_MODE_RE = re.compile(r"[wax+]")
+
+_FD_WRITES = ("os.write", "os.pwrite", "os.writev", "os.pwritev")
 
 
 def _call_name(func: ast.AST) -> str:
@@ -90,8 +101,10 @@ class _FunctionFacts:
     def __init__(self) -> None:
         self.write_opens: List[ast.Call] = []
         self.path_writes: List[ast.Call] = []
+        self.fd_writes: List[ast.Call] = []
         self.has_rename = False
-        self.has_fsync = False
+        #: Source position of the function's last fsync/fdatasync call.
+        self.last_fsync: Optional[Tuple[int, int]] = None
 
 
 def _own_nodes(fn: ast.AST):
@@ -118,8 +131,11 @@ def _collect(fn: ast.AST) -> _FunctionFacts:
         dotted = _dotted(node.func)
         if dotted in ("os.replace", "os.rename"):
             facts.has_rename = True
+        if dotted in _FD_WRITES:
+            facts.fd_writes.append(node)
         if dotted in ("os.fsync", "os.fdatasync"):
-            facts.has_fsync = True
+            position = (node.lineno, node.col_offset)
+            facts.last_fsync = max(facts.last_fsync or position, position)
     return facts
 
 
@@ -176,7 +192,7 @@ def check_crash_safety(tree: ast.Module, path: str) -> List[Finding]:
                     ),
                     qualname=qualname,
                 ))
-            elif not facts.has_fsync:
+            elif facts.last_fsync is None:
                 findings.append(Finding(
                     rule="crash-safety",
                     path=path,
@@ -186,6 +202,23 @@ def check_crash_safety(tree: ast.Module, path: str) -> List[Finding]:
                         "can become durable before the data does (an empty "
                         "file after power loss); os.fsync the tmp file "
                         "before os.replace"
+                    ),
+                    qualname=qualname,
+                ))
+        for call in facts.fd_writes:
+            if facts.last_fsync is None or facts.last_fsync < (
+                call.lineno, call.col_offset
+            ):
+                findings.append(Finding(
+                    rule="crash-safety",
+                    path=path,
+                    line=call.lineno,
+                    message=(
+                        f"unsynced descriptor write in {qualname}: "
+                        f"{_dotted(call.func)} with no os.fsync/os.fdatasync "
+                        "after it in the function — the bytes can still be "
+                        "in the page cache when a crash hits; sync the fd "
+                        "before anything records them as durable"
                     ),
                     qualname=qualname,
                 ))

@@ -1,13 +1,12 @@
 """Kill-resume property test: SIGKILL a capacity run mid-flight, resume.
 
 A child process runs ``CapacitySorter.run`` against a file-backed input
-with a paced progress callback; the parent polls the spill manifest and
+with a paced progress callback; the parent polls the spill journal and
 SIGKILLs the child once at least two chunks are durably committed.  The
 resumed run must adopt every committed chunk (zero re-emission), finish
 the rest, and produce output byte-identical to a one-shot ``np.sort``.
 """
 
-import json
 import os
 import signal
 import subprocess
@@ -19,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.outofcore.capacity import CapacitySorter
-from repro.outofcore.spill import BatchFile, SpillStore, write_batch_file
+from repro.outofcore.spill import BatchFile, read_journal, write_batch_file
 
 pytestmark = pytest.mark.capacity
 
@@ -51,14 +50,9 @@ def _block(block_index, start, take):
     return rng.random((take, COLS))
 
 
-def _manifest_chunks(spill_dir: Path):
-    manifest = spill_dir / "manifest.json"
-    if not manifest.exists():
-        return []
-    try:
-        return json.loads(manifest.read_text()).get("chunks", [])
-    except ValueError:
-        return []  # mid-rewrite; atomic replace makes this transient
+def _journal_chunks(spill_dir: Path):
+    # read_journal ignores a record torn mid-append, so polling is safe.
+    return [record.as_dict() for record in read_journal(spill_dir)]
 
 
 def test_sigkill_mid_run_resumes_without_reemission(tmp_path):
@@ -83,7 +77,7 @@ def test_sigkill_mid_run_resumes_without_reemission(tmp_path):
     deadline = time.monotonic() + 60
     try:
         while True:
-            committed = _manifest_chunks(spill_dir)
+            committed = _journal_chunks(spill_dir)
             if 2 <= len(committed) < num_chunks:
                 break
             if child.poll() is not None:
@@ -102,11 +96,11 @@ def test_sigkill_mid_run_resumes_without_reemission(tmp_path):
             child.wait(timeout=30)
     assert child.returncode == -signal.SIGKILL
 
-    pre_kill = _manifest_chunks(spill_dir)
+    pre_kill = _journal_chunks(spill_dir)
     pre_indices = {c["index"] for c in pre_kill}
     assert len(pre_indices) >= 2
 
-    # Resume in this process: adopt the manifest, finish the run.
+    # Resume in this process: replay the journal, finish the run.
     resumed = CapacitySorter("1M", max_chunk_rows=CHUNK_ROWS).run(
         BatchFile(path=input_path, rows=ROWS, row_len=COLS,
                   dtype=np.float64),

@@ -1,11 +1,14 @@
 """CapacitySorter: array sink, spill sink, degradation, facade wiring."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.core.array_sort import GpuArraySort
 from repro.core.config import SortConfig
 from repro.outofcore.capacity import CapacityResult, CapacitySorter
+from repro.outofcore import spill
 from repro.outofcore.spill import SpillStore, write_batch_file
 
 pytestmark = pytest.mark.capacity
@@ -111,8 +114,29 @@ class TestSpillSink:
         assert result.store.complete
         np.testing.assert_array_equal(result.gather(),
                                       np.sort(batch, axis=1))
-        # Checkpoint cleared once the run completes.
-        assert result.store.load_checkpoint() is None
+        # The journal ends in the run's complete record.
+        frames, _ = spill._replay(tmp_path / spill._JOURNAL_NAME)
+        assert frames[-1] == {"kind": "complete"}
+
+    def test_two_syncs_per_committed_chunk(self, tmp_path, monkeypatch):
+        batch = make_batch(120, 12, seed=26)
+        calls = []
+
+        def counting(real):
+            def sync(fd):
+                calls.append(fd)
+                return real(fd)
+            return sync
+
+        monkeypatch.setattr(os, "fsync", counting(os.fsync))
+        monkeypatch.setattr(os, "fdatasync", counting(os.fdatasync))
+        result = CapacitySorter("1M", config=CONFIG, max_chunk_rows=32).run(
+            batch, spill_dir=tmp_path
+        )
+        assert result.stats.chunks_committed == 4
+        # Per chunk: its bytes, then its journal record.  Per run: the
+        # journal header, the directory entry, the complete record.
+        assert len(calls) == 2 * 4 + 3
 
     def test_run_batchfile_source(self, tmp_path):
         full = make_batch(200, 10, seed=21)

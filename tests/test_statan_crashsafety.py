@@ -1,4 +1,5 @@
-"""Crash-safety lint tests: durable writes must be tmp-write -> fsync -> rename.
+"""Crash-safety lint tests: durable writes must be tmp-write -> fsync ->
+rename, or a descriptor write synced after it.
 
 The seeded bug the pass exists for is an un-fsynced manifest write: the
 rename publishes a name whose data may not be durable yet, so a power
@@ -92,6 +93,38 @@ class TestCrashSafety:
         """)
         assert rules_of(findings) == ["crash-safety"]
         assert "rename without fsync" in findings[0].message
+
+    def test_unsynced_descriptor_write_fires(self):
+        # os.open + os.pwrite writes in place with no rename, so the
+        # open()-mode check never sees it; the sync comes *before* the
+        # write, which does not make the write durable.
+        findings = run("""
+            import os
+
+            def commit(path, offset, payload):
+                fd = os.open(path, os.O_RDWR | os.O_CREAT)
+                os.fdatasync(fd)
+                os.pwrite(fd, payload, offset)
+                os.close(fd)
+        """)
+        assert rules_of(findings) == ["crash-safety"]
+        assert "unsynced descriptor write" in findings[0].message
+        assert "os.pwrite" in findings[0].message
+        assert findings[0].qualname == "commit"
+
+    def test_descriptor_write_synced_after_is_clean(self):
+        findings = run("""
+            import os
+
+            def append(path, record):
+                fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+                try:
+                    os.write(fd, record)
+                    os.fdatasync(fd)
+                finally:
+                    os.close(fd)
+        """)
+        assert findings == []
 
     def test_read_mode_open_is_exempt(self):
         findings = run("""
