@@ -2,12 +2,14 @@
 
 One :class:`~repro.service.SortService` is bounded by one Python
 process; the fleet scales the same contract across **N** worker
-processes, each owning a full planner + ``ScratchArena`` +
-``SortService`` stack — the host-side analogue of partitioning arrays
-across GPUs.  See :mod:`repro.fleet.fleet` for the architecture
-(lane-affinity load-aware routing, two-region shared-memory handoff,
-one pipe per worker, failover on pipe EOF or heartbeat silence that
-drains a dead worker's in-flight requests to survivors).
+processes, each a sort loop owning its planner + ``ScratchArena``
+sorter — the host-side analogue of partitioning arrays across GPUs.
+Batching happens once, in the parent: each worker has a parent-side
+``SortService`` whose batches cross to it through a two-region
+shared-memory slab, one descriptor and one reply per batch.  See
+:mod:`repro.fleet.fleet` for the architecture (lane-affinity load-aware
+routing, one pipe per worker, per-batch failover on pipe EOF or
+heartbeat silence to survivors).
 
 Entry points:
 

@@ -4,57 +4,66 @@ One :class:`~repro.service.SortService` tops out at one Python process —
 one GIL, one planner, one arena.  :class:`SortFleet` keeps the service's
 entire caller contract (``submit(arrays, deadline=, priority=, tenant=)
 -> Future``, typed errors, ``flush``/``close``/context manager) and puts
-**N worker processes** behind it, each owning a full planner +
-``ScratchArena`` + ``SortService`` stack, the way the paper's multi-GPU
-relatives partition arrays across devices.
+**N worker processes** behind it, each owning a planner + ``ScratchArena``
+sorter, the way the paper's multi-GPU relatives partition arrays across
+devices.
 
 Request path::
 
     submit ──> FleetRouter (lane affinity + least-outstanding-rows)
-           ──> pooled two-region shm slab [input | output], input staged once
-           ──> the worker's own pipe: one pickled descriptor tuple
-           ──> worker process: local SortService batches, sorts, writes
-               the output half, answers on the same pipe
+           ──> the chosen worker's parent-side SortService: queue,
+               linger, deadlines, priority/WFQ, one coalesced batch
+           ──> its _WorkerBackend: batch staged into a pooled shm slab
+               [input | output], one descriptor on the worker's pipe
+           ──> worker process: sort the input half, write the output
+               half, one reply on the same pipe
            ──> collector thread (waits on every pipe and process
-               sentinel): copy-out, slab back to its pool, resolve the
-               caller's Future
+               sentinel) resolves the batch; the service demuxes the
+               output half to each caller's Future
+
+Batching happens once, in the parent, by the service's own class; a
+worker is a sort loop that exchanges one descriptor and one reply per
+batch.
 
 Design points, each load-bearing:
 
 * **Lane-affinity routing.**  Requests are bucketed by the same
-  ``(row_len, dtype)`` lane key the in-process batcher uses, and a lane
-  sticks to one worker while load allows — so a worker's batcher sees
-  full lanes and its planner keeps hitting one shape class.
-  Load wins when they conflict (least-outstanding-rows spill).
-* **Backpressure.**  When no worker can admit a request, ``submit``
-  raises :class:`~repro.service.errors.RejectedError` whose
-  ``retry_after`` is the **most-loaded** worker's drain estimate,
+  ``(row_len, dtype)`` lane key the batcher uses, and a lane sticks to
+  one worker while load allows — so a worker's service sees full lanes
+  and its planner keeps hitting one shape class.  Load wins when they
+  conflict (least-outstanding-rows spill).
+* **Backpressure.**  The router is the fleet's only admission bound
+  (the parent-side services never reject).  When no worker can admit a
+  request, ``submit`` raises :class:`~repro.service.errors.RejectedError`
+  whose ``retry_after`` is the **most-loaded** worker's drain estimate,
   stretched by the router's seeded jitter — deterministic under test,
   dispersed in production.
 * **Pooled two-region slabs.**  Each worker has its own pool of
   ``[input | output]`` shared-memory slabs, keyed by power-of-two byte
-  class.  A request takes a free slab of its class from its worker's
-  pool (creating one only when the pool is empty) and gives it back
-  after copy-out, so a pool grows to the worker's in-flight high-water
-  mark — which the router's ``max_worker_queue_rows`` already bounds —
-  and the worker maps each slab once, not once per request.
+  class.  A batch takes a free slab of its class from its worker's pool
+  (creating one only when the pool is empty); the service demuxes from
+  the output half, and the slab goes back to the pool when that
+  service dispatches its next batch.  A pool therefore holds about one
+  slab per byte class its worker has seen, and the worker maps each
+  slab once, not once per batch.
 * **One pipe per worker.**  Each worker talks to the parent over its
   own duplex pipe and nothing else, so no lock, queue or feeder thread
   is shared between workers: a worker killed mid-send stalls only its
   own pipe.  Sends on a pipe are serialized by one lock per process
   (the handle's in the parent, the worker's own in the child).
-* **Failover from the pristine input half.**  The worker never writes
-  the input half of a slab, so the parent always holds a pristine copy
-  of every in-flight request.  A worker that dies (EOF on its pipe, its
-  process sentinel, *or* heartbeat silence past the liveness deadline —
-  the one signal a SIGSTOPped process gives) is drained: its pending
-  requests are re-staged into slabs of survivors — never dropped — and
-  if **no** worker survives, the parent itself sorts them through the
+* **Failover per batch, from the pristine input half.**  The worker
+  never writes the input half of a slab, so the parent always holds a
+  pristine copy of the batch in flight.  A worker that dies (EOF on its
+  pipe, its process sentinel, *or* heartbeat silence past the liveness
+  deadline — the one signal a SIGSTOPped process gives) leaves routing;
+  its in-flight batch, and every batch its service dispatches later,
+  is re-staged into a slab of a survivor — never dropped — and if
+  **no** worker survives, the parent itself sorts it through the
   resilience layer (:class:`~repro.resilience.ResilientSorter`).  A
   dead worker's slabs are **retired** — unlinked, never reused — so a
-  killed-but-not-yet-reaped process cannot write into a later
-  request's output half.  ``close()`` unlinks every slab only after the
-  workers are joined.
+  killed-but-not-yet-reaped process cannot write into a later batch's
+  output half.  ``close()`` unlinks every slab only after the workers
+  are joined.
 * **Per-worker planners.**  Each worker resolves its own ``planner``
   spec.  ``"auto"`` is a dtype rule (:class:`~repro.planner.ExecutionPlanner`)
   that reads no file, so workers share nothing and plan from their first
@@ -67,13 +76,15 @@ reads the real monotonic clock.
 
 from __future__ import annotations
 
+import functools
 import mmap
 import multiprocessing
+import sys
 import threading
 import time
 from concurrent.futures import Future
 from multiprocessing import connection, shared_memory
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -81,12 +92,13 @@ from ..core.config import DEFAULT_CONFIG, SortConfig
 from ..statan import runtime as _sanitizer
 from ..service.errors import (
     DeadlineExceededError,
+    QuarantinedError,
     RejectedError,
     ServiceClosedError,
 )
 from ..service.service import (
-    DEFAULT_BATCH_TARGET_ROWS,
     DEFAULT_RETRY_JITTER,
+    SortService,
     validate_request,
 )
 from ..service.stats import StatsRecorder
@@ -106,11 +118,6 @@ DEFAULT_WORKERS = 2
 #: Per-worker outstanding-rows admission bound (router-side).
 DEFAULT_MAX_WORKER_QUEUE_ROWS = 8192
 
-#: Re-dispatch attempts per request before the fleet gives up and
-#: surfaces the underlying error (a backstop against dispatch loops,
-#: far above anything a healthy fleet hits).
-MAX_REDISPATCHES = 16
-
 
 #: One worker's free slabs, keyed by byte class.
 _SlabPool = Dict[int, List[shared_memory.SharedMemory]]
@@ -123,59 +130,65 @@ def _slab_class(nbytes: int) -> int:
     return max(mmap.PAGESIZE, 1 << (int(nbytes) - 1).bit_length())
 
 
+def _slab_half(
+    shm: shared_memory.SharedMemory, shape, dtype: np.dtype, half: int
+) -> np.ndarray:
+    """The input (``half=0``) or output (``half=1``) region of a slab."""
+    offset = half * shape[0] * shape[1] * dtype.itemsize
+    return np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=offset)
+
+
 def _unlink_slab(shm: shared_memory.SharedMemory) -> None:
-    shm.close()
+    try:
+        shm.close()
+    except BufferError:
+        # A service still holds a result view into it (its isolation
+        # path calls sort() again before dropping the last result); the
+        # mapping goes with that view, the name goes now.
+        pass
     try:
         shm.unlink()
     except FileNotFoundError:  # already reaped
         pass
 
 
-class _PendingRequest:
-    """Parent-side record of one in-flight request (fields guarded by
-    the fleet lock until the record is popped from ``_pending``; the
-    popping thread then owns it exclusively)."""
+class _Batch:
+    """One batch staged on a worker: its slab and the reply the
+    collector resolves (``None`` when the worker died first)."""
 
-    __slots__ = (
-        "req_id", "future", "worker_id", "shm", "rows", "row_len",
-        "dtype", "deadline_abs", "priority", "tenant", "single",
-        "submitted_at", "redispatches",
-    )
+    __slots__ = ("batch_id", "worker_id", "slab", "reply")
 
-    def __init__(
-        self, *, req_id, future, worker_id, shm, rows, row_len, dtype,
-        deadline_abs, priority, tenant, single, submitted_at,
-    ) -> None:
-        self.req_id = req_id
-        self.future = future
+    def __init__(self, batch_id: int, worker_id: int, slab) -> None:
+        self.batch_id = batch_id
         self.worker_id = worker_id
-        self.shm = shm
-        self.rows = rows
-        self.row_len = row_len
-        self.dtype = dtype
-        self.deadline_abs = deadline_abs
-        self.priority = priority
-        self.tenant = tenant
-        self.single = single
-        self.submitted_at = submitted_at
-        self.redispatches = 0
+        self.slab = slab
+        self.reply: "Future[Optional[tuple]]" = Future()
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes of both halves; the slab itself may be a larger class."""
-        return 2 * self.rows * self.row_len * self.dtype.itemsize
 
-    def input_view(self) -> np.ndarray:
-        return np.ndarray(
-            (self.rows, self.row_len), dtype=self.dtype, buffer=self.shm.buf
-        )
+class _BatchResult(NamedTuple):
+    """What :meth:`_WorkerBackend.sort` returns: the service's sorter
+    result contract (``batch``, plus the resilient backend's quarantine)."""
 
-    def output_view(self) -> np.ndarray:
-        offset = self.rows * self.row_len * self.dtype.itemsize
-        return np.ndarray(
-            (self.rows, self.row_len), dtype=self.dtype,
-            buffer=self.shm.buf, offset=offset,
-        )
+    batch: np.ndarray
+    quarantined: List[int]
+    quarantine_reasons: Dict[int, str]
+
+
+class _WorkerBackend:
+    """The sorter behind one worker's parent-side ``SortService``.
+
+    ``sort(batch)`` runs the batch on that worker — or, once it is dead,
+    on a survivor or in the parent (:meth:`SortFleet._sort_batch`).  The
+    returned ``batch`` is the slab's output half, valid until the next
+    ``sort`` call, like a sorter arena's result.
+    """
+
+    def __init__(self, fleet: "SortFleet", worker_id: int) -> None:
+        self._fleet = fleet
+        self._worker_id = worker_id
+
+    def sort(self, batch: np.ndarray) -> _BatchResult:
+        return self._fleet._sort_batch(self._worker_id, batch)
 
 
 @_sanitizer.sanitize_guarded
@@ -183,10 +196,10 @@ class _WorkerHandle:
     """Parent-side bookkeeping for one worker process.
 
     ``conn`` is the parent's end of the worker's duplex pipe.  Every
-    send on it holds ``send_lock`` (submitters, failover and ``close``
-    all send); the collector alone receives, without the lock, since a
-    pipe's two directions are independent.  The other mutable fields
-    are guarded by the owning fleet's lock.
+    send on it holds ``send_lock`` (the backends and ``close`` send);
+    the collector alone receives, without the lock, since a pipe's two
+    directions are independent.  The other mutable fields are guarded
+    by the owning fleet's lock.
     """
 
     def __init__(self, worker_id, process, conn) -> None:
@@ -198,10 +211,6 @@ class _WorkerHandle:
         self.conn = conn  # guarded-by: send_lock
         self.alive = True
         self.last_hb: Optional[float] = None
-        self.last_stats: Dict[str, object] = {}
-        self.dispatched = 0
-        self.completed = 0
-        self.failed = 0
         self.redispatched = 0
 
     def send(self, msg: tuple) -> None:
@@ -217,21 +226,18 @@ class _WorkerHandle:
 
 @_sanitizer.sanitize_guarded
 class SortFleet:
-    """Sharded, failover-capable front-end over N sort-service processes.
+    """Sharded, failover-capable front-end over N sort worker processes.
 
     Parameters
     ----------
     workers:
         Worker processes to fork (default :data:`DEFAULT_WORKERS`).
     config / planner / backend:
-        Passed to each worker's local :class:`~repro.service.SortService`
-        (``planner`` as a *spec* string — each worker resolves its own
-        instance).
-    batch_target_rows / max_batch_rows / linger_ms / worker_max_queue_rows:
-        Per-worker service batching knobs.  ``worker_max_queue_rows``
-        defaults to ``4 * max_worker_queue_rows`` so a healthy worker
-        never rejects what the router admitted (failover re-dispatch
-        included).
+        Build each worker's sorter, as :class:`~repro.service.SortService`
+        builds its own (``planner`` as a *spec* string — each worker
+        resolves its own instance).
+    batch_target_rows / max_batch_rows / linger_ms:
+        Batching knobs of each worker's parent-side service.
     max_worker_queue_rows:
         The router's per-worker outstanding-rows admission bound — the
         fleet's capacity knob.  Requests beyond it are rejected with a
@@ -256,7 +262,6 @@ class SortFleet:
         batch_target_rows: Optional[int] = None,
         max_batch_rows: Optional[int] = None,
         linger_ms: float = 2.0,
-        worker_max_queue_rows: Optional[int] = None,
         max_worker_queue_rows: int = DEFAULT_MAX_WORKER_QUEUE_ROWS,
         default_deadline_ms: Optional[float] = None,
         latency_window: int = 4096,
@@ -287,10 +292,6 @@ class SortFleet:
         self.heartbeat_s = float(heartbeat_s)
         self.liveness_s = float(liveness_s)
         self.max_worker_queue_rows = int(max_worker_queue_rows)
-        if worker_max_queue_rows is None:
-            worker_max_queue_rows = 4 * self.max_worker_queue_rows
-        self._planner_spec = planner
-        self._backend_spec = backend
 
         self._router = FleetRouter(
             max_worker_queue_rows=self.max_worker_queue_rows,
@@ -301,32 +302,15 @@ class SortFleet:
             retry_jitter_seed=retry_jitter_seed,
         )
         self._recorder = StatsRecorder(latency_window=latency_window)
-        # The worker's service requires max_queue_rows >= its batch
-        # target; with a small router bound (hence a small derived
-        # worker queue) the service-side default target
-        # (DEFAULT_BATCH_TARGET_ROWS) would fail that check *inside the
-        # child*.  Resolve the target
-        # here and clamp it to the worker queue so every worker config
-        # we ship is constructible.
-        if batch_target_rows is None:
-            batch_target_rows = DEFAULT_BATCH_TARGET_ROWS
-        batch_target_rows = max(
-            1, min(int(batch_target_rows), int(worker_max_queue_rows))
-        )
         worker_cfg = WorkerConfig(
             config=config,
             planner=planner,
             backend=backend,
-            batch_target_rows=batch_target_rows,
-            max_batch_rows=max_batch_rows,
-            linger_ms=float(linger_ms),
-            max_queue_rows=int(worker_max_queue_rows),
-            latency_window=latency_window,
             heartbeat_s=float(heartbeat_s),
         )
 
         # Fork before any parent thread starts: a forked child must not
-        # inherit a half-held lock from a running collector.
+        # inherit a half-held lock from a running collector or service.
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn"
@@ -347,7 +331,11 @@ class SortFleet:
         self._lock = _sanitizer.make_lock("SortFleet._lock")
         self._wakeup = threading.Condition(self._lock)
         self._handles: Dict[int, _WorkerHandle] = {}  # guarded-by: _wakeup, _lock
-        self._pending: Dict[int, _PendingRequest] = {}  # guarded-by: _wakeup, _lock
+        # Batches sent to a worker and not yet answered, by batch id.
+        self._inflight: Dict[int, _Batch] = {}  # guarded-by: _wakeup, _lock
+        # Per service: the batch whose output half it may still be
+        # demuxing; its slab goes back at that service's next sort.
+        self._held: Dict[int, _Batch] = {}  # guarded-by: _wakeup, _lock
         self._seq = 0  # guarded-by: _wakeup, _lock
         self._closed = False  # guarded-by: _wakeup, _lock
         self._stop_collector = False  # guarded-by: _wakeup, _lock
@@ -361,7 +349,6 @@ class SortFleet:
         self._slabs_created = 0  # guarded-by: _wakeup, _lock
         self._slabs_retired = 0  # guarded-by: _wakeup, _lock
         self._slab_pool_bytes = 0  # guarded-by: _wakeup, _lock
-        self._fallback_sorter = None  # lazy ResilientSorter (collector-only)
 
         for worker_id in range(self.workers_total):
             conn, child_conn = self._ctx.Pipe()
@@ -382,6 +369,19 @@ class SortFleet:
         for worker_id in self._handles:
             self._router.add_worker(worker_id)
 
+        # One service per worker, here in the parent.  The router is the
+        # admission bound, so a service must never reject what it admitted.
+        self._services = {
+            worker_id: SortService(
+                backend=_WorkerBackend(self, worker_id),
+                batch_target_rows=batch_target_rows,
+                max_batch_rows=max_batch_rows,
+                linger_ms=linger_ms,
+                max_queue_rows=sys.maxsize,
+                latency_window=latency_window,
+            )
+            for worker_id in range(self.workers_total)
+        }
         self._collector = threading.Thread(
             target=self._collect, name="repro-fleet-collector", daemon=True
         )
@@ -441,13 +441,14 @@ class SortFleet:
 
         The contract is :meth:`repro.service.SortService.submit`'s —
         same shapes, same deadline/priority/tenant semantics, same typed
-        errors — so anything written against the service (including
+        errors, and the same rule that the submitted storage must not be
+        mutated until the future resolves (it is staged at dispatch) —
+        so anything written against the service (including
         :mod:`repro.service.traffic`'s load generators) drives a fleet
         unchanged.  One difference: results are always owned copies
         (``copy`` is accepted for signature parity and ignored), because
-        every request round-trips through a shared-memory slab that goes
-        back to its worker's pool — for the next request — as soon as
-        the result is copied out.
+        every batch round-trips through a shared-memory slab that goes
+        back to its worker's pool at the next dispatch.
 
         Raises :class:`RejectedError` when no worker can admit the
         request — ``retry_after`` is the most-loaded worker's jittered
@@ -461,7 +462,6 @@ class SortFleet:
 
         rows, row_len = staged.shape
         lane_key = (row_len, staged.dtype.str)
-        future: "Future[np.ndarray]" = Future()
         with self._wakeup:
             if self._closed:
                 raise ServiceClosedError("fleet is closed")
@@ -489,113 +489,92 @@ class SortFleet:
                     tenant=tenant,
                     reason="queue-full",
                 )
-            req_id = self._seq
-            self._seq += 1
-            handle = self._handles[worker_id]
-            now = time.monotonic()
-            shm = self._take_slab_locked(worker_id, 2 * staged.nbytes)
-            record = _PendingRequest(
-                req_id=req_id,
-                future=future,
-                worker_id=worker_id,
-                shm=shm,
-                rows=rows,
-                row_len=row_len,
-                dtype=staged.dtype,
-                deadline_abs=now + deadline if deadline is not None else None,
-                priority=int(priority),
-                tenant=tenant,
-                single=single,
-                submitted_at=now,
-            )
-            record.input_view()[:] = staged
-            self._pending[req_id] = record
-            handle.dispatched += 1
             self._recorder.record_submitted(tenant=tenant, rows=rows)
-        if (
-            not self._send_request(handle, record, deadline)
-            and self._pop_pending(req_id, worker_id) is not None
-        ):
-            # The chosen worker died between routing and dispatch.  The
-            # collector will reap it; this request fails over right now
-            # (unless the collector's failover already claimed it).
-            self._router.record_done(worker_id, rows)
-            self._dispatch_failover([record], from_worker=worker_id, retire=True)
+            inner = self._services[worker_id].submit(
+                staged, deadline=deadline, priority=priority, tenant=tenant
+            )
+        future: "Future[np.ndarray]" = Future()
+        inner.add_done_callback(functools.partial(
+            self._resolve, future, worker_id, rows, tenant, single,
+            time.monotonic(),
+        ))
         return future
 
-    def _send_request(
-        self,
-        handle: _WorkerHandle,
-        record: _PendingRequest,
-        remaining: Optional[float],
-    ) -> bool:
-        """Send ``record``'s descriptor to ``handle``'s worker, outside
-        the fleet lock (a full pipe blocks only this sender); False when
-        the worker's pipe is gone.
-
-        A failover that re-stages ``record`` concurrently has already
-        killed this worker, so a descriptor read mid-re-stage reaches
-        no live process.
-        """
-        try:
-            handle.send((
-                "sort", record.req_id, record.shm.name, record.rows,
-                record.row_len, record.dtype.str, remaining,
-                record.priority, record.tenant,
-            ))
-        except (OSError, ValueError):
-            return False
-        return True
+    def _resolve(
+        self, future, worker_id, rows, tenant, single, submitted_at, inner
+    ) -> None:
+        """Account for a request its worker's service resolved, then hand
+        the outcome to the caller's future (counters first, so a caller
+        that wakes on it reads them)."""
+        self._router.record_done(worker_id, rows)
+        exc = inner.exception()
+        if exc is None:
+            elapsed = time.monotonic() - submitted_at
+            self._recorder.record_latency(elapsed, tenant=tenant)
+            self._recorder.record_throughput(rows, elapsed)
+        elif isinstance(exc, DeadlineExceededError) and exc.stage == "queued":
+            self._recorder.record_shed(1, tenant=tenant)
+        elif isinstance(exc, DeadlineExceededError):
+            self._recorder.record_deadline_missed(tenant=tenant)
+        elif isinstance(exc, QuarantinedError):
+            self._recorder.record_failed(
+                tenant=tenant, quarantined_rows=len(exc.rows)
+            )
+        else:
+            self._recorder.record_failed(tenant=tenant)
+        if not future.set_running_or_notify_cancel():
+            return
+        if exc is not None:
+            future.set_exception(exc)
+        else:
+            payload = inner.result()
+            future.set_result(payload[0] if single else payload)
 
     def flush(self, timeout: Optional[float] = None) -> bool:
-        """Block until nothing is in flight anywhere in the fleet.
-        Returns ``False`` on timeout."""
+        """Block until nothing is queued or in flight anywhere in the
+        fleet.  Returns ``False`` on timeout."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        with self._wakeup:
-            while self._pending:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return False
-                self._wakeup.wait(remaining)
-            return True
+        for service in self._services.values():
+            remaining = None
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return False
+            if not service.flush(remaining):
+                return False
+        return True
 
     def close(self, *, drain: bool = True, timeout: Optional[float] = None) -> None:
         """Stop accepting work, stop the workers, reap everything.
 
-        ``drain=True`` (default) waits for in-flight requests to finish
-        first; ``drain=False`` fails them with
+        ``drain=True`` (default) sorts and delivers everything already
+        accepted first; ``drain=False`` fails queued requests with
         :class:`ServiceClosedError`.  Idempotent.
         """
         with self._wakeup:
             if self._closed:
-                already = True
-            else:
-                already = False
-                self._closed = True
-            handles = list(self._handles.values())
-        if already:
-            return
-        if drain:
-            self.flush(timeout)
-        dropped: List[_PendingRequest] = []
+                return
+            self._closed = True
+        # A worker that dies while its service drains still fails over.
+        for service in self._services.values():
+            service.close(drain=drain, timeout=timeout)
         with self._wakeup:
-            if self._pending:
-                dropped = list(self._pending.values())
-                self._pending.clear()
+            handles = list(self._handles.values())
             live = [handle for handle in handles if handle.alive]
+            for handle in handles:
+                handle.alive = False
+                self._router.mark_dead(handle.worker_id)
+            # Only a service that timed out above still waits on a
+            # batch: with every worker gone, it sorts it in the parent.
+            stranded = list(self._inflight.values())
+            self._inflight.clear()
+        for batch in stranded:
+            batch.reply.set_result(None)
         for handle in live:
             try:
                 handle.send(("stop",))
             except (OSError, ValueError):  # worker already gone
                 pass
-        for record in dropped:
-            self._router.record_done(record.worker_id, record.rows)
-            if record.future.set_running_or_notify_cancel():
-                record.future.set_exception(
-                    ServiceClosedError("fleet closed before completion")
-                )
         for handle in handles:
             handle.process.join(timeout=5.0)
             if handle.process.is_alive():
@@ -603,23 +582,19 @@ class SortFleet:
                 handle.process.join(timeout=5.0)
         with self._wakeup:
             self._stop_collector = True
-            for handle in handles:
-                handle.alive = False
-            self._wakeup.notify_all()
         self._collector.join(timeout=5.0)
         for handle in handles:
             handle.close()
         # Only now, with every worker joined, can no process still be
-        # reading or writing a slab: unlink the pools and the slabs of
-        # requests close() dropped.
+        # reading or writing a slab: unlink the pools and held slabs.
         with self._wakeup:
-            pools = list(self._free_slabs.values())
-            self._free_slabs.clear()
             doomed = [
-                slab for pool in pools for free in pool.values()
-                for slab in free
+                slab for pool in self._free_slabs.values()
+                for free in pool.values() for slab in free
             ]
-            doomed += [record.shm for record in dropped]
+            doomed += [batch.slab for batch in self._held.values()]
+            self._free_slabs.clear()
+            self._held.clear()
             self._slab_pool_bytes -= sum(slab.size for slab in doomed)
         for slab in doomed:
             _unlink_slab(slab)
@@ -641,7 +616,7 @@ class SortFleet:
         """SIGKILL one worker — the chaos/failover test hook.
 
         The collector sees EOF on the worker's pipe (or its process
-        sentinel) and drains its in-flight requests to survivors.
+        sentinel) and fails its batches over to survivors.
         """
         with self._lock:
             handle = self._handles.get(worker_id)
@@ -650,35 +625,43 @@ class SortFleet:
         handle.process.kill()
 
     def stats(self) -> FleetStats:
-        """One consistent :class:`FleetStats` snapshot."""
+        """One :class:`FleetStats` snapshot.  Each worker's ``service``
+        is its parent-side service's own snapshot, exact at call time."""
         now = time.monotonic()
         router_view = self._router.snapshot()
+        services = {
+            worker_id: service.stats()
+            for worker_id, service in self._services.items()
+        }
+        frontend = self._recorder.snapshot(
+            queue_requests=sum(view[2] for view in router_view.values()),
+            queue_rows=sum(view[1] for view in router_view.values()),
+        )
         with self._lock:
-            frontend = self._recorder.snapshot(
-                queue_requests=len(self._pending),
-                queue_rows=sum(r.rows for r in self._pending.values()),
-            )
             workers: Dict[int, WorkerState] = {}
             for worker_id, handle in sorted(self._handles.items()):
                 alive, out_rows, out_reqs = router_view.get(
                     worker_id, (False, 0, 0)
                 )
+                service = services[worker_id]
                 workers[worker_id] = WorkerState(
                     worker_id=worker_id,
                     pid=handle.process.pid,
                     alive=handle.alive and alive,
                     outstanding_rows=out_rows,
                     outstanding_requests=out_reqs,
-                    dispatched=handle.dispatched,
-                    completed=handle.completed,
-                    failed=handle.failed,
+                    dispatched=service.submitted,
+                    completed=service.completed,
+                    failed=(
+                        service.failed + service.shed + service.deadline_missed
+                    ),
                     redispatched=handle.redispatched,
                     heartbeat_age_s=(
                         now - handle.last_hb
                         if handle.last_hb is not None
                         else None
                     ),
-                    service=dict(handle.last_stats),
+                    service=service.as_dict(),
                 )
             return FleetStats(
                 frontend=frontend,
@@ -692,6 +675,101 @@ class SortFleet:
                 slabs_retired=self._slabs_retired,
                 slab_pool_bytes=self._slab_pool_bytes,
             )
+
+    def __enter__(self) -> "SortFleet":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close(drain=exc_type is None)
+
+    # -- batches (each service's dispatch thread) ----------------------------
+    def _sort_batch(self, worker_id: int, batch: np.ndarray) -> _BatchResult:
+        """:meth:`_WorkerBackend.sort` for ``worker_id``'s service.
+
+        Runs ``batch`` on ``worker_id``.  If that worker is dead, or dies
+        with the batch in flight, the batch is re-staged — from the
+        pristine input half once it has one — onto the router's
+        failover survivor, and sorted in the parent when none is left.
+        """
+        self._release_held(worker_id)
+        shape, dtype = batch.shape, batch.dtype
+        lane_key = (shape[1], dtype.str)
+        target: Optional[int] = worker_id
+        source: Optional[np.ndarray] = batch
+        lost: Optional[_Batch] = None  # the attempt whose worker died
+        try:
+            while target is not None:
+                staged = self._stage(target, source)
+                reply = None
+                if staged is not None:
+                    # The pristine input now lives in the new slab.
+                    source = None
+                    if lost is not None:
+                        self._release_slab(lost.slab, lost.worker_id)
+                        lost = None
+                    reply = staged.reply.result()
+                if target != worker_id:  # a failover target: done with it
+                    self._router.record_done(target, shape[0])
+                if reply is not None:
+                    return self._finish(worker_id, staged, reply, shape, dtype)
+                if staged is not None:
+                    lost = staged
+                    source = _slab_half(lost.slab, shape, dtype, 0)
+                # A dead worker has left routing, so this is a survivor.
+                target = self._router.route_failover(lane_key, shape[0])
+            from ..resilience import ResilientSorter
+
+            return ResilientSorter(self.config, sleep=None).sort(source)
+        finally:
+            source = None
+            if lost is not None:
+                self._release_slab(lost.slab, lost.worker_id)
+
+    def _stage(self, target: int, source: np.ndarray) -> Optional[_Batch]:
+        """Copy ``source`` into a slab from ``target``'s pool and send its
+        descriptor; ``None`` when ``target`` is already dead.  A worker
+        that dies after this point resolves the reply with ``None``."""
+        with self._wakeup:
+            handle = self._handles[target]
+            if not handle.alive:
+                return None
+            staged = _Batch(
+                self._seq, target,
+                self._take_slab_locked(target, 2 * source.nbytes),
+            )
+            self._seq += 1
+            self._inflight[staged.batch_id] = staged
+        np.copyto(
+            _slab_half(staged.slab, source.shape, source.dtype, 0), source
+        )
+        try:
+            handle.send((
+                "sort", staged.batch_id, staged.slab.name, source.shape[0],
+                source.shape[1], source.dtype.str,
+            ))
+        except (OSError, ValueError):
+            pass  # the worker is gone: its failover resolves the reply
+        return staged
+
+    def _finish(
+        self, worker_id: int, staged: _Batch, reply: tuple, shape, dtype
+    ) -> _BatchResult:
+        """Turn a worker's reply into the service's sort result; the slab
+        stays held for the service's demux until its next sort."""
+        if reply[0] == "error":
+            self._release_slab(staged.slab, staged.worker_id)
+            raise rebuild_error(*reply[2:])
+        with self._wakeup:
+            self._held[worker_id] = staged
+        return _BatchResult(
+            _slab_half(staged.slab, shape, dtype, 1), reply[2], reply[3]
+        )
+
+    def _release_held(self, worker_id: int) -> None:
+        with self._wakeup:
+            held = self._held.pop(worker_id, None)
+        if held is not None:
+            self._release_slab(held.slab, held.worker_id)
 
     # -- slab pools ----------------------------------------------------------
     def _take_slab_locked(
@@ -709,33 +787,22 @@ class SortFleet:
         return shm
 
     def _release_slab(
-        self, shm: shared_memory.SharedMemory, worker_id: int, *, retire: bool
+        self, shm: shared_memory.SharedMemory, worker_id: int
     ) -> None:
-        """Return a slab to ``worker_id``'s pool after copy-out.
-
-        ``retire=True`` (the slab was in flight on a worker declared
-        dead), or a pool that is gone (the worker died, or the fleet
-        closed), unlinks it instead: it is never handed out again.
-        """
+        """Return a slab to ``worker_id``'s pool, or unlink it when that
+        pool is gone (the worker died, or the fleet closed): a dead
+        worker's slab is never handed out again."""
         with self._wakeup:
-            pool = None if retire else self._free_slabs.get(worker_id)
+            pool = self._free_slabs.get(worker_id)
             if pool is not None:
                 pool.setdefault(shm.size, []).append(shm)
                 return
             self._slab_pool_bytes -= shm.size
-            if retire:
-                self._slabs_retired += 1
         _unlink_slab(shm)
-
-    def __enter__(self) -> "SortFleet":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(drain=exc_type is None)
 
     # -- collector thread --------------------------------------------------
     def _collect(self) -> None:
-        """Resolve futures, track heartbeats, detect and drain deaths.
+        """Resolve batch replies, track heartbeats, detect deaths.
 
         Waits on every live worker's pipe and process sentinel at once.
         EOF or an exited process fails the worker over immediately;
@@ -771,108 +838,18 @@ class SortFleet:
                 msg = handle.conn.recv()
             except (EOFError, OSError):
                 return False
-            kind = msg[0]
-            if kind == "done":
-                self._complete(msg[1], msg[2])
-            elif kind == "error":
-                self._fail(msg[1], msg[2], msg[3], msg[4], msg[5])
-            elif kind == "hb":
-                self._note_heartbeat(msg[1], msg[3])
-            elif kind == "stopped":
-                self._note_stopped(msg[1])
-
-    def _pop_pending(self, req_id: int, worker_id: int) -> Optional[_PendingRequest]:
-        """Claim a pending record for delivery (None = already handled,
-        e.g. completed by a survivor after a stale double-dispatch)."""
-        with self._wakeup:
-            record = self._pending.get(req_id)
-            if record is None or record.worker_id != worker_id:
-                return None
-            del self._pending[req_id]
-            self._wakeup.notify_all()
-            return record
-
-    def _complete(self, req_id: int, worker_id: int) -> None:
-        record = self._pop_pending(req_id, worker_id)
-        if record is None:
-            return
-        with self._lock:
-            handle = self._handles.get(worker_id)
-            if handle is not None:
-                handle.completed += 1
-        self._router.record_done(worker_id, record.rows)
-        payload = np.array(record.output_view(), copy=True)
-        self._release_slab(record.shm, worker_id, retire=False)
-        elapsed = time.monotonic() - record.submitted_at
-        self._recorder.record_latency(elapsed, tenant=record.tenant)
-        self._recorder.record_throughput(record.rows, elapsed)
-        if record.future.set_running_or_notify_cancel():
-            record.future.set_result(
-                payload[0] if record.single else payload
-            )
-
-    def _fail(
-        self, req_id: int, worker_id: int, kind: str, message: str, fields
-    ) -> None:
-        if kind == "rejected":
-            # A healthy worker refusing router-admitted work means the
-            # failover path overfilled it; requeue rather than surface —
-            # the input slab is pristine by construction.
-            if self._requeue_rejected(req_id, worker_id):
-                return
-        record = self._pop_pending(req_id, worker_id)
-        if record is None:
-            return
-        with self._lock:
-            handle = self._handles.get(worker_id)
-            if handle is not None:
-                handle.failed += 1
-        self._router.record_done(worker_id, record.rows)
-        self._release_slab(record.shm, worker_id, retire=False)
-        if kind == "deadline" and str(fields.get("stage", "")) == "queued":
-            self._recorder.record_shed(1, tenant=record.tenant)
-        elif kind == "deadline":
-            self._recorder.record_deadline_missed(tenant=record.tenant)
-        elif kind == "quarantined":
-            self._recorder.record_failed(
-                tenant=record.tenant,
-                quarantined_rows=len(fields.get("rows", ())),
-            )
-        else:
-            self._recorder.record_failed(tenant=record.tenant)
-        if record.future.set_running_or_notify_cancel():
-            record.future.set_exception(rebuild_error(kind, message, fields))
-
-    def _requeue_rejected(self, req_id: int, worker_id: int) -> bool:
-        """Re-dispatch a worker-side rejection; False = give up (caps)."""
-        with self._wakeup:
-            record = self._pending.get(req_id)
-            if record is None or record.worker_id != worker_id:
-                return True  # raced with failover; nothing to do here
-            if record.redispatches >= MAX_REDISPATCHES:
-                return False
-            del self._pending[req_id]
-        self._router.record_done(worker_id, record.rows)
-        self._dispatch_failover([record], from_worker=worker_id, retire=False)
-        return True
-
-    def _note_heartbeat(self, worker_id: int, stats: Dict[str, object]) -> None:
-        with self._lock:
-            handle = self._handles.get(worker_id)
-            if handle is not None:
-                handle.last_hb = time.monotonic()
-                handle.last_stats = stats
-
-    def _note_stopped(self, worker_id: int) -> None:
-        with self._wakeup:
-            handle = self._handles.get(worker_id)
-            if handle is not None:
-                handle.alive = False
-            self._wakeup.notify_all()
+            with self._wakeup:
+                if msg[0] == "hb":
+                    handle.last_hb = time.monotonic()
+                    continue
+                # "done" or "error": the one reply to a batch.
+                batch = self._inflight.pop(msg[1], None)
+            if batch is not None:
+                batch.reply.set_result(msg)
 
     def _check_liveness(self) -> None:
         """Declare dead any worker whose heartbeat is older than the
-        liveness deadline; drain each."""
+        liveness deadline; fail each over."""
         now = time.monotonic()
         with self._lock:
             suspects = [
@@ -885,125 +862,49 @@ class SortFleet:
             self._fail_over(handle)
 
     def _fail_over(self, handle: _WorkerHandle) -> None:
-        """Drain a dead worker: re-dispatch its in-flight requests and
-        retire every slab it had mapped."""
+        """Take a dead worker out of routing, retire its slabs, and hand
+        its in-flight batches back to their services' backends, which
+        re-stage them on survivors.
+
+        The requests the worker held — in flight or still queued in its
+        service — count as ``redispatched`` while a survivor remains,
+        else as ``parent_fallbacks``.
+        """
+        worker_id = handle.worker_id
         with self._wakeup:
             if not handle.alive:
                 return
             handle.alive = False
-            if self._closed:
-                return  # close() owns worker teardown
             self._failovers += 1
-            victims = [
-                record for record in self._pending.values()
-                if record.worker_id == handle.worker_id
+            orphans = [
+                batch for batch in self._inflight.values()
+                if batch.worker_id == worker_id
             ]
-            for record in victims:
-                del self._pending[record.req_id]
-            pool = self._free_slabs.pop(handle.worker_id, {})
+            for batch in orphans:
+                del self._inflight[batch.batch_id]
+            pool = self._free_slabs.pop(worker_id, {})
             idle = [slab for free in pool.values() for slab in free]
-            self._slabs_retired += len(idle)
+            held = sum(
+                1 for batch in self._held.values()
+                if batch.worker_id == worker_id
+            )
+            # Idle slabs go now; orphaned and held ones when their
+            # backend releases them (no pool: unlinked).
+            self._slabs_retired += len(idle) + len(orphans) + held
             self._slab_pool_bytes -= sum(slab.size for slab in idle)
-        self._router.mark_dead(handle.worker_id)
-        self._router.forget_outstanding(handle.worker_id)
+            moved = self._router.snapshot()[worker_id][2]
+            self._router.mark_dead(worker_id)
+            self._router.forget_outstanding(worker_id)
+            if self._router.alive_workers():
+                handle.redispatched += moved
+                self._redispatched += moved
+            else:
+                self._parent_fallbacks += moved
         # A stalled-but-running process (liveness expiry) is killed so it
-        # cannot later double-complete a request a survivor re-sorts.
+        # cannot later write an output half a survivor now owns.
         if handle.process.is_alive():
             handle.process.kill()
         for slab in idle:
             _unlink_slab(slab)
-        if victims:
-            self._dispatch_failover(
-                victims, from_worker=handle.worker_id, retire=True
-            )
-
-    def _dispatch_failover(
-        self, records: List[_PendingRequest], *, from_worker: int, retire: bool
-    ) -> None:
-        """Land orphaned requests on survivors (or sort them here).
-
-        Each request is re-staged from its pristine input half into a
-        slab from the target's pool, so every slab is only ever mapped
-        by the worker whose pool holds it.  ``retire`` says whether the
-        old slab was in flight on a worker declared dead (unlink it) or
-        on a live one that refused the request (return it to the pool).
-        """
-        now = time.monotonic()
-        for record in records:
-            if record.deadline_abs is not None and now >= record.deadline_abs:
-                self._release_slab(record.shm, from_worker, retire=retire)
-                self._recorder.record_shed(1, tenant=record.tenant)
-                if record.future.set_running_or_notify_cancel():
-                    record.future.set_exception(DeadlineExceededError(
-                        "deadline passed while failing over from worker "
-                        f"{from_worker}",
-                        waited=now - record.submitted_at,
-                        stage="queued",
-                    ))
-                continue
-            lane_key = (record.row_len, record.dtype.str)
-            target = self._router.route_failover(lane_key, record.rows)
-            if target is None:
-                self._parent_sort(record, from_worker, retire=retire)
-                continue
-            remaining = (
-                record.deadline_abs - now
-                if record.deadline_abs is not None
-                else None
-            )
-            old_shm = record.shm
-            with self._wakeup:
-                handle = self._handles[target]
-                record.shm = self._take_slab_locked(target, record.nbytes)
-                record.input_view()[:] = np.ndarray(
-                    (record.rows, record.row_len), dtype=record.dtype,
-                    buffer=old_shm.buf,
-                )
-                record.worker_id = target
-                record.redispatches += 1
-                self._redispatched += 1
-                self._pending[record.req_id] = record
-                handle.dispatched += 1
-                victim_handle = self._handles.get(from_worker)
-                if victim_handle is not None:
-                    victim_handle.redispatched += 1
-            self._release_slab(old_shm, from_worker, retire=retire)
-            if (
-                not self._send_request(handle, record, remaining)
-                and self._pop_pending(record.req_id, target) is not None
-            ):  # the target died under us
-                self._router.record_done(target, record.rows)
-                self._parent_sort(record, target, retire=True)
-
-    def _parent_sort(
-        self, record: _PendingRequest, worker_id: int, *, retire: bool
-    ) -> None:
-        """Last resort — no surviving worker: sort in the parent through
-        the resilience layer so accepted work is still never dropped.
-        ``record.shm`` is copied out and released to ``worker_id``'s
-        pool (or retired) before the sort."""
-        with self._lock:
-            self._parent_fallbacks += 1
-        if self._fallback_sorter is None:
-            from ..resilience import ResilientSorter
-
-            self._fallback_sorter = ResilientSorter(self.config, sleep=None)
-        batch = np.array(record.input_view(), copy=True)
-        self._release_slab(record.shm, worker_id, retire=retire)
-        try:
-            result = self._fallback_sorter.sort(batch)
-            payload = np.array(result.batch, copy=True)
-        except Exception as exc:
-            self._recorder.record_failed(tenant=record.tenant)
-            if record.future.set_running_or_notify_cancel():
-                record.future.set_exception(
-                    RuntimeError(f"parent fallback sort failed: {exc}")
-                )
-            return
-        elapsed = time.monotonic() - record.submitted_at
-        self._recorder.record_latency(elapsed, tenant=record.tenant)
-        self._recorder.record_throughput(record.rows, elapsed)
-        if record.future.set_running_or_notify_cancel():
-            record.future.set_result(
-                payload[0] if record.single else payload
-            )
+        for batch in orphans:
+            batch.reply.set_result(None)

@@ -12,10 +12,9 @@ The fleet's scrape surface follows the service's
     plus the shared-memory slab pools' created/retired counts and
     held bytes;
   - ``workers`` — one block per worker process: liveness, outstanding
-    work, dispatch/failover counters, and the worker's *own*
-    ``ServiceStats`` snapshot from its last heartbeat (so operators can
-    see inside each process: its batch occupancy, its queue, its
-    latency);
+    work, dispatch/failover counters, and the ``ServiceStats`` snapshot
+    of the worker's parent-side service (its batch occupancy, its
+    queue, its latency);
   - ``aggregate`` — the workers' service counters summed, the "what is
     the whole fleet's sort plane doing" view.
 

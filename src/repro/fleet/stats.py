@@ -1,6 +1,6 @@
 """Observability surface of the sort fleet.
 
-Two layers, mirroring the tentpole's two tiers:
+Two layers:
 
 * the **front-end** — admission, routing, completion, and latency as
   seen by callers of :meth:`~repro.fleet.SortFleet.submit`.  The fleet
@@ -9,9 +9,10 @@ Two layers, mirroring the tentpole's two tiers:
   per-tenant slices), so fleet-level and service-level snapshots stay
   directly comparable;
 * the **workers** — one :class:`WorkerState` per worker process:
-  liveness, outstanding work, dispatch/completion/failover tallies, and
-  the worker's own last-heartbeat :class:`~repro.service.stats.ServiceStats`
-  snapshot as a plain dict (it crossed the process boundary as data).
+  liveness, outstanding work, failover tallies, and the
+  :class:`~repro.service.stats.ServiceStats` of the worker's
+  parent-side service as a plain dict, read when the snapshot is taken
+  (batching runs in the parent, so nothing waits on a heartbeat).
 
 :class:`FleetStats` is the immutable roll-up of both, what
 :meth:`SortFleet.stats` returns and what :mod:`repro.fleet.metrics`
@@ -39,19 +40,19 @@ class WorkerState:
     outstanding_rows: int
     #: Requests dispatched and not yet completed/failed.
     outstanding_requests: int
-    #: Requests ever dispatched to this worker (including re-dispatches
-    #: *onto* it from a dead peer).
+    #: Requests routed to this worker's service.
     dispatched: int
-    #: Requests this worker completed successfully.
+    #: Requests that service completed successfully.
     completed: int
-    #: Requests this worker failed with a typed error.
+    #: Requests that service failed with a typed error (shed and
+    #: deadline-missed included).
     failed: int
-    #: Requests taken *from* this worker when it died and re-dispatched.
+    #: Requests this worker held (in flight or queued) when it died,
+    #: re-dispatched to survivors.
     redispatched: int
     #: Seconds since the last heartbeat (None before the first one).
     heartbeat_age_s: Optional[float]
-    #: The worker's own ServiceStats from its last heartbeat, as a dict
-    #: (empty before the first heartbeat).
+    #: The worker's parent-side ServiceStats, as a dict.
     service: Dict[str, object] = dataclasses.field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, object]:
@@ -75,8 +76,8 @@ class FleetStats:
     failovers: int
     #: Requests re-dispatched off dead workers onto survivors.
     redispatched: int
-    #: Requests sorted in the parent itself because no worker survived
-    #: (the resilience backstop).
+    #: Requests a dead worker held when no worker survived, sorted in
+    #: the parent itself (the resilience backstop).
     parent_fallbacks: int
     #: Shared-memory slabs created for the worker pools (a reused slab
     #: is not counted again).

@@ -218,18 +218,40 @@ class TestStats:
             assert tenants["beta"].completed == 1
 
     def test_worker_heartbeat_stats_flow_up(self):
-        import time
-
-        with small_fleet(workers=1, heartbeat_s=0.02) as fl:
-            fl.submit(np.zeros((2, 8), dtype=np.float32)).result(timeout=30)
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                state = fl.stats().workers[0]
-                if state.service.get("completed", 0) >= 1:
-                    break
-                time.sleep(0.02)
-            assert state.service.get("completed", 0) >= 1
+        # Each worker's service runs in the parent, so its stats are
+        # exact as soon as flush() returns: no heartbeat to wait for.
+        with small_fleet(workers=1) as fl:
+            for _ in range(3):
+                fl.submit(np.zeros((2, 8), dtype=np.float32))
+            assert fl.flush(timeout=30)
+            state = fl.stats().workers[0]
+            assert state.service["completed"] == 3
+            assert state.service["submitted"] == 3
+            assert state.completed == 3
             assert state.heartbeat_age_s is not None
+
+    def test_one_message_per_batch(self, monkeypatch):
+        from repro.fleet.fleet import _WorkerHandle
+
+        sent = []
+        send = _WorkerHandle.send
+
+        def counting_send(self, msg):
+            sent.append(msg[0])
+            send(self, msg)
+
+        monkeypatch.setattr(_WorkerHandle, "send", counting_send)
+        with small_fleet(workers=1, linger_ms=50.0) as fl:
+            rows = [RNG.uniform(0, 1, size=32) for _ in range(64)]
+            futures = [fl.submit(row) for row in rows]
+            for row, future in zip(rows, futures):
+                np.testing.assert_array_equal(
+                    future.result(timeout=30), np.sort(row)
+                )
+            assert fl.flush(timeout=30)
+            batches = fl.stats().workers[0].service["batches"]
+            assert sent == ["sort"] * batches
+            assert batches <= 8
 
 
 class TestSlabPool:
@@ -249,62 +271,46 @@ class TestSlabPool:
         assert fl.stats().slab_pool_bytes == 0
 
 
-class TestWorkerCopyOut:
-    def test_result_resolved_before_callback_is_sorted_again(
-        self, monkeypatch
-    ):
-        """A request whose batch resolves before the worker registers its
-        done callback must not be copied from the zero-copy view: the
-        next batch may already have overwritten it."""
-        import multiprocessing
-        from multiprocessing import shared_memory
+class TestWorkerErrors:
+    def test_resilient_quarantine_is_per_request(self):
+        from repro.core.config import SortConfig
+        from repro.service import QuarantinedError
 
-        import repro.service
-        from repro.fleet.worker import WorkerConfig, worker_main
-
-        decoy = RNG.uniform(0, 1, size=(4, 64))
-
-        class EagerService(repro.service.SortService):
-            def submit(self, arrays, **kwargs):
-                future = super().submit(arrays, **kwargs)
-                self.flush()
-                # The next batch reuses the sorter's arena under the
-                # first request's zero-copy view.
-                super().submit(decoy, **kwargs)
-                self.flush()
-                return future
-
-        monkeypatch.setattr(repro.service, "SortService", EagerService)
-        batch = RNG.uniform(0, 1, size=(4, 64))
-        shm = shared_memory.SharedMemory(create=True, size=2 * batch.nbytes)
-        try:
-            np.ndarray(batch.shape, batch.dtype, buffer=shm.buf)[:] = batch
-            parent, child = multiprocessing.Pipe()
-            parent.send(("sort", 7, shm.name, 4, 64, batch.dtype.str,
-                         None, 0, "default"))
-            parent.send(("stop",))
-            worker = threading.Thread(
-                target=worker_main, args=(0, child,
-                                          WorkerConfig(linger_ms=0.0)),
+        good = RNG.uniform(0, 1, size=(2, 16)).astype(np.float32)
+        poisoned = good.copy()
+        poisoned[1, 3] = np.nan
+        with small_fleet(workers=1, backend="resilient", linger_ms=50.0,
+                         config=SortConfig(nan_policy="raise")) as fl:
+            f_good = fl.submit(good)
+            f_bad = fl.submit(poisoned)
+            np.testing.assert_array_equal(
+                f_good.result(timeout=30), np.sort(good, axis=1)
             )
-            worker.start()
-            worker.join(timeout=30)
-            assert not worker.is_alive()
-            replies = []
-            while parent.poll():
-                msg = parent.recv()
-                if msg[0] in ("done", "error"):
-                    replies.append(msg)
-            parent.close()
-            child.close()
-            assert replies == [("done", 7, 0)]
-            out = np.ndarray(batch.shape, batch.dtype, buffer=shm.buf,
-                             offset=batch.nbytes)
-            np.testing.assert_array_equal(out, np.sort(batch, axis=1))
-            del out
-        finally:
-            shm.close()
-            shm.unlink()
+            with pytest.raises(QuarantinedError) as excinfo:
+                f_bad.result(timeout=30)
+            assert fl.flush(timeout=30)
+            stats = fl.stats()
+        # Row indices are request-relative, not batch-relative.
+        assert excinfo.value.rows == (1,)
+        assert "nan" in excinfo.value.reasons[1]
+        assert stats.frontend.failed == 1
+        assert stats.frontend.tenants["default"].quarantined_rows == 1
+
+    def test_failed_batch_fails_only_the_culprit(self):
+        from repro.core.config import SortConfig
+
+        good = RNG.uniform(0, 1, size=(2, 16))
+        poisoned = good.copy()
+        poisoned[0, 0] = np.nan
+        with small_fleet(workers=1, linger_ms=50.0,
+                         config=SortConfig(nan_policy="raise")) as fl:
+            f_good = fl.submit(good)
+            f_bad = fl.submit(poisoned)
+            np.testing.assert_array_equal(
+                f_good.result(timeout=30), np.sort(good, axis=1)
+            )
+            with pytest.raises(RuntimeError, match="(?i)nan"):
+                f_bad.result(timeout=30)
 
 
 class TestDefaults:

@@ -1,10 +1,11 @@
 """Failover tests: dead workers are drained, accepted work is never
 dropped.
 
-The two-region slab invariant (workers never write the input half) is
-what makes these tests pass byte-identically: whatever instant a worker
-dies — even mid-result-memcpy — the parent re-dispatches from a
-pristine input copy.
+Requests linger in each worker's parent-side service; a worker sees
+whole batches only.  The two-region slab invariant (workers never write
+the input half) is what makes these tests pass byte-identically:
+whatever instant a worker dies — even mid-result-memcpy — the parent
+re-stages its batch from a pristine input copy.
 
 Three death modes are covered: hard process death (SIGKILL), silent
 stall (SIGSTOP past the liveness deadline), and total fleet death
@@ -21,6 +22,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import types
 
 import numpy as np
 import pytest
@@ -34,8 +36,8 @@ RNG = np.random.default_rng(99)
 
 
 def lingering_fleet(**kwargs):
-    """A fleet whose workers hold requests in their batcher long enough
-    for the test to kill a worker with work demonstrably in flight."""
+    """A fleet whose parent-side services hold requests long enough for
+    the test to kill their worker with work demonstrably outstanding."""
     kwargs.setdefault("workers", 2)
     kwargs.setdefault("linger_ms", 400.0)
     kwargs.setdefault("batch_target_rows", 100_000)
@@ -45,22 +47,43 @@ def lingering_fleet(**kwargs):
     return SortFleet(**kwargs)
 
 
-def inflight_slabs(fleet, worker_id=None):
-    """Names of the slabs of requests currently in flight."""
+def fleet_slabs(fleet, worker_id=None):
+    """Names of every slab the fleet holds for ``worker_id`` (default:
+    all workers): pooled, in flight, or held for a service's demux."""
     with fleet._lock:
-        return {
-            record.shm.name for record in fleet._pending.values()
-            if worker_id is None or record.worker_id == worker_id
+        batches = list(fleet._inflight.values()) + list(fleet._held.values())
+        names = {
+            batch.slab.name for batch in batches
+            if worker_id is None or batch.worker_id == worker_id
         }
+        for owner, pool in fleet._free_slabs.items():
+            if worker_id is None or owner == worker_id:
+                names |= {slab.name for free in pool.values() for slab in free}
+        return names
 
 
-def pooled_slabs(fleet):
-    """Names of the free slabs in every worker's pool."""
-    with fleet._lock:
-        return {
-            slab.name for pool in fleet._free_slabs.values()
-            for free in pool.values() for slab in free
-        }
+def batch_in_flight(fleet):
+    """``(worker_id, slab name)`` of a batch a worker is sorting."""
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        with fleet._lock:
+            batches = list(fleet._inflight.values())
+        if batches:
+            return batches[0].worker_id, batches[0].slab.name
+        time.sleep(0.005)
+    raise AssertionError("no batch was ever in flight")
+
+
+class SlowSorter:
+    """A worker backend that holds each batch for ``delay_s`` before
+    sorting it, so a test can kill the worker mid-batch."""
+
+    def __init__(self, delay_s):
+        self.delay_s = delay_s
+
+    def sort(self, batch):
+        time.sleep(self.delay_s)
+        return types.SimpleNamespace(batch=np.sort(batch, axis=1))
 
 
 def shm_exists(name):
@@ -108,7 +131,7 @@ class TestWorkerDeath:
         ]
         with lingering_fleet(workers=2) as fl:
             # One lane -> affinity parks every request on one worker,
-            # whose long linger keeps them all in flight.
+            # whose service's long linger keeps them all outstanding.
             futures = [fl.submit(b) for b in batches]
             victim = victim_of(fl)
             assert fl._router.snapshot()[victim][2] == len(batches)
@@ -172,6 +195,51 @@ class TestWorkerDeath:
 
 
 @pytest.mark.timeout(90)
+@linux_shm
+class TestBatchInFlight:
+    @pytest.mark.parametrize("workers", [2, 1])
+    def test_sigkill_mid_batch_with_more_queued(self, workers):
+        """One batch is being sorted on the victim and more requests
+        wait in its parent-side service: all of them complete, on the
+        survivor, or in the parent when none is left."""
+        first = [
+            RNG.uniform(0, 1, size=(4, 32)).astype(np.float32)
+            for _ in range(3)
+        ]
+        queued = [
+            RNG.uniform(0, 1, size=(4, 32)).astype(np.float32)
+            for _ in range(5)
+        ]
+        with lingering_fleet(workers=workers, linger_ms=20.0,
+                             backend=SlowSorter(1.0)) as fl:
+            futures = [fl.submit(b) for b in first]
+            victim, slab = batch_in_flight(fl)
+            futures += [fl.submit(b) for b in queued]
+            assert fl._router.snapshot()[victim][2] == len(futures)
+            owned = fleet_slabs(fl, victim)
+            assert slab in owned and all(shm_exists(n) for n in owned)
+            fl.kill_worker(victim)
+            for batch, future in zip(first + queued, futures):
+                np.testing.assert_array_equal(
+                    future.result(timeout=60), np.sort(batch, axis=1)
+                )
+            assert fl.flush(timeout=60)
+            stats = fl.stats()
+            assert stats.failovers == 1
+            assert stats.frontend.completed == len(futures)
+            assert stats.frontend.failed == 0
+            assert stats.slabs_retired == len(owned)
+            assert not any(shm_exists(name) for name in owned)
+            if workers == 2:
+                assert stats.parent_fallbacks == 0
+                assert stats.redispatched == len(futures)
+                assert stats.workers[1 - victim].service["completed"] == 0
+            else:
+                assert stats.parent_fallbacks == len(futures)
+                assert stats.redispatched == 0
+
+
+@pytest.mark.timeout(90)
 class TestTotalFleetDeath:
     def test_parent_fallback_sorts_when_no_survivors(self):
         batches = [
@@ -213,21 +281,17 @@ class TestSlabLifecycle:
             for _ in range(6)
         ]
         with lingering_fleet(workers=2) as fl:
-            # Same lane, larger class: the lane's worker keeps this slab
-            # idle in its pool while the small requests linger.
+            # Same lane, larger class: the lane's worker keeps this
+            # slab, held for its service, while the small requests linger.
             warm = RNG.uniform(0, 1, size=(64, 32)).astype(np.float32)
-            fl.submit(warm).result(timeout=60)
+            warm_future = fl.submit(warm)
+            assert fl.flush(timeout=60)
+            warm_future.result(timeout=60)
             futures = [fl.submit(b) for b in batches]
             victim = victim_of(fl)
-            retired = inflight_slabs(fl, victim)
-            assert len(retired) == len(batches)
-            with fl._lock:
-                idle = {
-                    slab.name for free in fl._free_slabs[victim].values()
-                    for slab in free
-                }
-            assert len(idle) == 1
-            retired |= idle
+            retired = fleet_slabs(fl, victim)
+            assert len(retired) == 1
+            assert all(shm_exists(name) for name in retired)
             fl.kill_worker(victim)
             for batch, future in zip(batches, futures):
                 np.testing.assert_array_equal(
@@ -238,16 +302,17 @@ class TestSlabLifecycle:
             # Later requests land on the survivor and never receive a
             # retired slab's name.
             later = [fl.submit(b) for b in batches]
-            seen = inflight_slabs(fl) | pooled_slabs(fl)
+            seen = fleet_slabs(fl)
             for batch, future in zip(batches, later):
                 np.testing.assert_array_equal(
                     future.result(timeout=60), np.sort(batch, axis=1)
                 )
-            seen |= pooled_slabs(fl)
+            seen |= fleet_slabs(fl)
             assert seen and not seen & retired
             stats = fl.stats()
             assert stats.frontend.failed == 0
             assert stats.failovers == 1
+            assert stats.redispatched == len(batches)
             assert stats.parent_fallbacks == 0
 
     @pytest.mark.parametrize("drain", [True, False])
@@ -258,10 +323,15 @@ class TestSlabLifecycle:
             RNG.uniform(0, 1, size=(rows, 32)).astype(np.float32)
             for rows in (2, 4, 64, 300)
         ]
+        # One flushed round fills the pools, then the same requests
+        # linger in the parent-side services.
+        for batch in batches:
+            fl.submit(batch)
+        assert fl.flush(timeout=60)
         futures = [fl.submit(b) for b in batches]
         victim_of(fl)
-        names = inflight_slabs(fl) | pooled_slabs(fl)
-        assert len(names) == len(batches)
+        names = fleet_slabs(fl)
+        assert names
         assert all(shm_exists(name) for name in names)
         fl.close(drain=drain, timeout=30)
         for batch, future in zip(batches, futures):
@@ -280,7 +350,7 @@ class TestSlabLifecycle:
     ):
         """A SIGKILLed parent runs no close(): its orphaned workers end
         themselves, and then the resource tracker unlinks every slab it
-        created — pooled and in flight alike."""
+        created — pooled and held for a service alike."""
         child = textwrap.dedent("""
             import json, os, signal
             import numpy as np
@@ -288,9 +358,10 @@ class TestSlabLifecycle:
             fl = SortFleet(workers=1, linger_ms=300.0,
                            batch_target_rows=100_000, start_timeout_s=60.0)
             fl.submit(np.ones((64, 32))).result(timeout=60)
+            fl.submit(np.ones((2, 32))).result(timeout=60)
             fl.submit(np.ones((2, 32)))
             with fl._lock:
-                names = [r.shm.name for r in fl._pending.values()]
+                names = [b.slab.name for b in fl._held.values()]
                 names += [s.name for pool in fl._free_slabs.values()
                           for free in pool.values() for s in free]
             pids = [w.pid for w in fl.stats().workers.values()]

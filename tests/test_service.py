@@ -159,18 +159,13 @@ class TestDynamicBatcher:
 
 class TestDefaultBatchTarget:
     def test_default_target_is_pinned(self):
-        # Every planner="auto" service and every fleet worker batches at
-        # this target; a change here moves their batch sizes.
-        from repro.fleet.fleet import DEFAULT_MAX_WORKER_QUEUE_ROWS
-
+        # Every planner="auto" service and every fleet worker's
+        # parent-side service batches at this target; a change here
+        # moves their batch sizes.
         assert DEFAULT_BATCH_TARGET_ROWS == 4096
         for planner in (None, "auto", "fused"):
             with SortService(planner=planner) as service:
                 assert service.batch_target_rows == 4096
-        # The fleet clamps the target to its worker queue bound
-        # (4 * the router bound by default), which leaves it untouched.
-        assert min(DEFAULT_BATCH_TARGET_ROWS,
-                   4 * DEFAULT_MAX_WORKER_QUEUE_ROWS) == 4096
 
 
 class TestStats:
