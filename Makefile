@@ -107,7 +107,8 @@ bench-gate:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_hotpath.py --grid reference \
 		--repeats 3 --gate --out $(SMOKE_DIR)/BENCH_hotpath_reference.json
 
-# Fleet failover soak: tests/test_fleet_failover.py RUNS times in a row
+# Fleet soak: tests/test_fleet_failover.py and tests/test_fleet.py (the
+# reply path runs in each worker's service thread) RUNS times in a row
 # beside BUSY pure-Python spin processes (a loaded host is where a
 # failover race shows), stopping at the first failing run.  The
 # spinners are killed on any exit.  e.g. make fleet-soak RUNS=5 BUSY=0
@@ -120,7 +121,8 @@ fleet-soak:
 	done; \
 	for run in $$(seq 1 $(RUNS)); do \
 		echo "== fleet-soak run $$run/$(RUNS) (busy loops: $(BUSY)) =="; \
-		PYTHONPATH=src $(PYTHON) -m pytest tests/test_fleet_failover.py -q \
+		PYTHONPATH=src $(PYTHON) -m pytest tests/test_fleet_failover.py \
+			tests/test_fleet.py -q \
 			|| { echo "fleet-soak: run $$run of $(RUNS) FAILED"; exit 1; }; \
 	done; \
 	echo "fleet-soak: $(RUNS) of $(RUNS) runs passed"

@@ -8,8 +8,8 @@ Batching happens once, in the parent: each worker has a parent-side
 ``SortService`` whose batches cross to it through a two-region
 shared-memory slab, one descriptor and one reply per batch.  See
 :mod:`repro.fleet.fleet` for the architecture (lane-affinity load-aware
-routing, one pipe per worker, per-batch failover on pipe EOF or
-heartbeat silence to survivors).
+routing, one pipe and one parent thread per worker, per-batch failover
+on pipe EOF, process exit or a stalled heartbeat counter to survivors).
 
 Entry points:
 

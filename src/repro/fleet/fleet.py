@@ -8,22 +8,19 @@ entire caller contract (``submit(arrays, deadline=, priority=, tenant=)
 sorter, the way the paper's multi-GPU relatives partition arrays across
 devices.
 
-Request path::
+Request path — one parent thread, the worker's service thread, carries
+a batch end to end::
 
-    submit ──> FleetRouter (lane affinity + least-outstanding-rows)
-           ──> the chosen worker's parent-side SortService: queue,
-               linger, deadlines, priority/WFQ, one coalesced batch
-           ──> its _WorkerBackend: batch staged into a pooled shm slab
-               [input | output], one descriptor on the worker's pipe
-           ──> worker process: sort the input half, write the output
-               half, one reply on the same pipe
-           ──> collector thread (waits on every pipe and process
-               sentinel) resolves the batch; the service demuxes the
-               output half to each caller's Future
-
-Batching happens once, in the parent, by the service's own class; a
-worker is a sort loop that exchanges one descriptor and one reply per
-batch.
+    submit ──> validate once; FleetRouter (lane affinity +
+               least-outstanding-rows) picks a worker; the caller gets
+               that worker's parent-side SortService's own Future
+           ──> the service queues, lingers and sheds, then gathers one
+               batch straight into the input half of a pooled shm slab
+               [input | output], sends one descriptor on its worker's
+               pipe and waits on that pipe and the process sentinel
+           ──> worker process: copy the input half to the output half,
+               sort it there in place, one reply on the same pipe
+           ──> the service demuxes the output half to each Future
 
 Design points, each load-bearing:
 
@@ -36,34 +33,34 @@ Design points, each load-bearing:
   (the parent-side services never reject).  When no worker can admit a
   request, ``submit`` raises :class:`~repro.service.errors.RejectedError`
   whose ``retry_after`` is the **most-loaded** worker's drain estimate,
-  stretched by the router's seeded jitter — deterministic under test,
-  dispersed in production.
-* **Pooled two-region slabs.**  Each worker has its own pool of
-  ``[input | output]`` shared-memory slabs, keyed by power-of-two byte
-  class.  A batch takes a free slab of its class from its worker's pool
-  (creating one only when the pool is empty); the service demuxes from
-  the output half, and the slab goes back to the pool when that
-  service dispatches its next batch.  A pool therefore holds about one
-  slab per byte class its worker has seen, and the worker maps each
-  slab once, not once per batch.
-* **One pipe per worker.**  Each worker talks to the parent over its
-  own duplex pipe and nothing else, so no lock, queue or feeder thread
-  is shared between workers: a worker killed mid-send stalls only its
-  own pipe.  Sends on a pipe are serialized by one lock per process
-  (the handle's in the parent, the worker's own in the child).
+  stretched by the router's seeded jitter.  Front-end stats are the
+  services' recorders plus the router's rejections, summed at snapshot
+  time, so each request is recorded once.
+* **Pooled two-region slabs.**  Both halves sit at the front of any
+  slab, so a batch takes the smallest free slab of its worker's pool
+  that fits; only when none does is a new one made, and the free slabs
+  it outgrew are unlinked (the worker unmaps them at its next
+  descriptor).  A slab goes back when its service dispatches its next
+  batch: a pool converges to the slab in flight, the one held for
+  demux, and a spare.
+* **One pipe per worker, no heartbeat on it.**  A descriptor out and
+  its reply back are one exchange under the worker handle's lock
+  (another service's thread takes it only to fail a batch over).  Each
+  worker bumps its slot of a shared heartbeat counter array instead;
+  a watchdog thread, with no per-batch work, reads the counters and
+  waits on the process sentinels.
 * **Failover per batch, from the pristine input half.**  The worker
-  never writes the input half of a slab, so the parent always holds a
-  pristine copy of the batch in flight.  A worker that dies (EOF on its
-  pipe, its process sentinel, *or* heartbeat silence past the liveness
-  deadline — the one signal a SIGSTOPped process gives) leaves routing;
-  its in-flight batch, and every batch its service dispatches later,
-  is re-staged into a slab of a survivor — never dropped — and if
-  **no** worker survives, the parent itself sorts it through the
-  resilience layer (:class:`~repro.resilience.ResilientSorter`).  A
-  dead worker's slabs are **retired** — unlinked, never reused — so a
-  killed-but-not-yet-reaped process cannot write into a later batch's
-  output half.  ``close()`` unlinks every slab only after the workers
-  are joined.
+  never writes the input half, so the parent always holds a pristine
+  copy of the batch in flight.  A worker that dies (EOF or its process
+  sentinel, seen by the thread waiting on it or by the watchdog, *or*
+  a heartbeat counter stalled past the liveness deadline — the one
+  signal a SIGSTOPped process gives) leaves routing; its in-flight
+  batch, and every batch its service dispatches later, is re-staged
+  onto a survivor — never dropped — or, with **no** survivor, sorted in
+  the parent by :class:`~repro.resilience.ResilientSorter`.  A dead
+  worker's slabs are **retired** (unlinked, never reused), so a
+  not-yet-reaped process cannot write a later batch's output half;
+  ``close()`` unlinks every slab after the workers are joined.
 * **Per-worker planners.**  Each worker resolves its own ``planner``
   spec.  ``"auto"`` is a dtype rule (:class:`~repro.planner.ExecutionPlanner`)
   that reads no file, so workers share nothing and plan from their first
@@ -76,32 +73,27 @@ reads the real monotonic clock.
 
 from __future__ import annotations
 
-import functools
 import mmap
 import multiprocessing
+import selectors
 import sys
 import threading
 import time
 from concurrent.futures import Future
 from multiprocessing import connection, shared_memory
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..core.config import DEFAULT_CONFIG, SortConfig
 from ..statan import runtime as _sanitizer
-from ..service.errors import (
-    DeadlineExceededError,
-    QuarantinedError,
-    RejectedError,
-    ServiceClosedError,
-)
+from ..service.errors import RejectedError, ServiceClosedError
 from ..service.service import (
     DEFAULT_RETRY_JITTER,
     SortService,
     validate_request,
 )
-from ..service.stats import StatsRecorder
+from ..service.stats import StatsRecorder, combined_snapshot
 from .router import (
     DEFAULT_SPILL_FACTOR,
     DEFAULT_SPILL_SLACK_ROWS,
@@ -119,14 +111,14 @@ DEFAULT_WORKERS = 2
 DEFAULT_MAX_WORKER_QUEUE_ROWS = 8192
 
 
-#: One worker's free slabs, keyed by byte class.
+#: One worker's free slabs, keyed by slab size.
 _SlabPool = Dict[int, List[shared_memory.SharedMemory]]
 
 
 def _slab_class(nbytes: int) -> int:
-    """Byte size of the pooled slab that holds ``nbytes``: the next power
-    of two, at least one page (so the segment size is exactly the class
-    on every platform and ``SharedMemory.size`` is a valid pool key)."""
+    """Byte size of a new slab that holds ``nbytes``: the next power of
+    two, at least one page (so the segment size is exactly the class on
+    every platform and ``SharedMemory.size`` is a valid pool key)."""
     return max(mmap.PAGESIZE, 1 << (int(nbytes) - 1).bit_length())
 
 
@@ -152,17 +144,19 @@ def _unlink_slab(shm: shared_memory.SharedMemory) -> None:
         pass
 
 
-class _Batch:
-    """One batch staged on a worker: its slab and the reply the
-    collector resolves (``None`` when the worker died first)."""
+class _Batch(NamedTuple):
+    """A slab taken from ``worker_id``'s pool to carry one batch."""
 
-    __slots__ = ("batch_id", "worker_id", "slab", "reply")
+    worker_id: int
+    slab: shared_memory.SharedMemory
 
-    def __init__(self, batch_id: int, worker_id: int, slab) -> None:
-        self.batch_id = batch_id
-        self.worker_id = worker_id
-        self.slab = slab
-        self.reply: "Future[Optional[tuple]]" = Future()
+
+def _pristine(batch: np.ndarray, staged: Optional[_Batch]) -> np.ndarray:
+    """The unsorted batch: ``batch`` itself until it sits in a slab, then
+    that slab's input half (which no worker writes)."""
+    if staged is None:
+        return batch
+    return _slab_half(staged.slab, batch.shape, batch.dtype, 0)
 
 
 class _BatchResult(NamedTuple):
@@ -175,19 +169,21 @@ class _BatchResult(NamedTuple):
 
 
 class _WorkerBackend:
-    """The sorter behind one worker's parent-side ``SortService``.
-
-    ``sort(batch)`` runs the batch on that worker — or, once it is dead,
-    on a survivor or in the parent (:meth:`SortFleet._sort_batch`).  The
-    returned ``batch`` is the slab's output half, valid until the next
-    ``sort`` call, like a sorter arena's result.
-    """
+    """The sorter behind one worker's parent-side ``SortService``:
+    ``stage`` hands the service a slab's input half to gather its next
+    batch into, and ``sort`` runs the batch (:meth:`SortFleet._sort_batch`)
+    and returns the slab's output half, valid until the next ``sort``."""
 
     def __init__(self, fleet: "SortFleet", worker_id: int) -> None:
         self._fleet = fleet
         self._worker_id = worker_id
 
-    def sort(self, batch: np.ndarray) -> _BatchResult:
+    def stage(self, shape: Tuple[int, int], dtype: np.dtype) -> np.ndarray:
+        return self._fleet._stage(self._worker_id, shape, np.dtype(dtype))
+
+    def sort(self, batch: np.ndarray, *, inplace: bool = False) -> _BatchResult:
+        # ``inplace`` changes nothing here: the worker writes only the
+        # output half, so ``batch`` is never modified either way.
         return self._fleet._sort_batch(self._worker_id, batch)
 
 
@@ -195,32 +191,55 @@ class _WorkerBackend:
 class _WorkerHandle:
     """Parent-side bookkeeping for one worker process.
 
-    ``conn`` is the parent's end of the worker's duplex pipe.  Every
-    send on it holds ``send_lock`` (the backends and ``close`` send);
-    the collector alone receives, without the lock, since a pipe's two
-    directions are independent.  The other mutable fields are guarded
-    by the owning fleet's lock.
+    ``conn`` is the parent's end of the worker's duplex pipe; a
+    descriptor out and its reply back are one exchange under ``lock``.
+    The other mutable fields are guarded by the owning fleet's lock:
+    ``inflight`` is the slab in that exchange, ``unmap`` the pruned
+    slabs the next descriptor names, and ``beat``/``beat_at`` the
+    heartbeat count the watchdog last read and when it last moved.
     """
 
     def __init__(self, worker_id, process, conn) -> None:
         self.worker_id = worker_id
         self.process = process
-        self.send_lock = _sanitizer.make_lock(
-            f"SortFleet.worker{worker_id}.send_lock"
-        )
-        self.conn = conn  # guarded-by: send_lock
+        self.lock = _sanitizer.make_lock(f"SortFleet.worker{worker_id}.lock")
+        self.conn = conn  # guarded-by: lock
+        # Pipe and sentinel registered once, so a reply costs one poll;
+        # poll keeps no descriptor of its own for later forks to inherit.
+        self.selector = getattr(  # guarded-by: lock
+            selectors, "PollSelector", selectors.DefaultSelector
+        )()
+        self.selector.register(conn, selectors.EVENT_READ)
+        self.selector.register(process.sentinel, selectors.EVENT_READ)
         self.alive = True
-        self.last_hb: Optional[float] = None
+        self.inflight: Optional[shared_memory.SharedMemory] = None
+        self.unmap: List[str] = []
+        self.beat = 0
+        self.beat_at: Optional[float] = None
         self.redispatched = 0
 
-    def send(self, msg: tuple) -> None:
-        """Pickle ``msg`` onto the worker's pipe; raises ``OSError`` or
-        ``ValueError`` once the worker (or the pipe) is gone."""
-        with self.send_lock:
+    def exchange_locked(self, msg: tuple) -> Optional[tuple]:
+        """Send ``msg`` and return the worker's reply; ``None`` when it is
+        gone first.  The pipe is read before an exit is believed, so a
+        reply sent just before the death still counts."""
+        try:
             self.conn.send(msg)
+            ready = [key.fileobj for key, _ in self.selector.select()]
+            if self.conn in ready or self.conn.poll():
+                return self.conn.recv()
+        except (EOFError, OSError, ValueError):
+            pass  # the worker (or the pipe) is gone
+        return None
+
+    def stop_locked(self) -> None:
+        try:
+            self.conn.send(("stop",))
+        except (OSError, ValueError):  # worker already gone
+            pass
 
     def close(self) -> None:
-        with self.send_lock:
+        with self.lock:
+            self.selector.close()
             self.conn.close()
 
 
@@ -301,7 +320,9 @@ class SortFleet:
             retry_jitter=retry_jitter,
             retry_jitter_seed=retry_jitter_seed,
         )
-        self._recorder = StatsRecorder(latency_window=latency_window)
+        # The router's rejections: every other request is recorded once,
+        # by the service it was routed to.
+        self._rejections = StatsRecorder()
         worker_cfg = WorkerConfig(
             config=config,
             planner=planner,
@@ -310,7 +331,7 @@ class SortFleet:
         )
 
         # Fork before any parent thread starts: a forked child must not
-        # inherit a half-held lock from a running collector or service.
+        # inherit a half-held lock from a running service or watchdog.
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn"
@@ -331,21 +352,24 @@ class SortFleet:
         self._lock = _sanitizer.make_lock("SortFleet._lock")
         self._wakeup = threading.Condition(self._lock)
         self._handles: Dict[int, _WorkerHandle] = {}  # guarded-by: _wakeup, _lock
-        # Batches sent to a worker and not yet answered, by batch id.
-        self._inflight: Dict[int, _Batch] = {}  # guarded-by: _wakeup, _lock
+        # One heartbeat counter per worker, shared before fork; each
+        # worker's heartbeat thread is its slot's only writer.
+        self._beats = self._ctx.RawArray("Q", self.workers_total)  # guarded-by: _wakeup, _lock
+        # Per service: the slab its next batch was gathered into, and
+        # that slab's input half as handed out by stage().
+        self._staged: Dict[int, Tuple[_Batch, np.ndarray]] = {}  # guarded-by: _wakeup, _lock
         # Per service: the batch whose output half it may still be
         # demuxing; its slab goes back at that service's next sort.
         self._held: Dict[int, _Batch] = {}  # guarded-by: _wakeup, _lock
-        self._seq = 0  # guarded-by: _wakeup, _lock
         self._closed = False  # guarded-by: _wakeup, _lock
-        self._stop_collector = False  # guarded-by: _wakeup, _lock
+        self._stop_watchdog = False  # guarded-by: _wakeup, _lock
         self._failovers = 0  # guarded-by: _wakeup, _lock
         self._redispatched = 0  # guarded-by: _wakeup, _lock
         self._parent_fallbacks = 0  # guarded-by: _wakeup, _lock
-        # Per-worker slab pools: worker id -> byte class -> free slabs.
-        # A worker's entry is dropped when it dies or the fleet closes;
-        # a slab released with no pool to return to is unlinked.
-        self._free_slabs: Dict[int, _SlabPool] = {}  # guarded-by: _wakeup, _lock
+        # Per-worker slab pools: worker id -> slab size -> free slabs.
+        # A dead worker's entry becomes None (its slabs retire as they
+        # come back); the fleet's close drops them all.
+        self._free_slabs: Dict[int, Optional[_SlabPool]] = {}  # guarded-by: _wakeup, _lock
         self._slabs_created = 0  # guarded-by: _wakeup, _lock
         self._slabs_retired = 0  # guarded-by: _wakeup, _lock
         self._slab_pool_bytes = 0  # guarded-by: _wakeup, _lock
@@ -354,7 +378,7 @@ class SortFleet:
             conn, child_conn = self._ctx.Pipe()
             process = self._ctx.Process(
                 target=worker_main,
-                args=(worker_id, child_conn, worker_cfg),
+                args=(worker_id, child_conn, worker_cfg, self._beats),
                 name=f"repro-fleet-worker-{worker_id}",
                 daemon=True,
             )
@@ -382,16 +406,16 @@ class SortFleet:
             )
             for worker_id in range(self.workers_total)
         }
-        self._collector = threading.Thread(
-            target=self._collect, name="repro-fleet-collector", daemon=True
+        self._watchdog = threading.Thread(
+            target=self._watch, name="repro-fleet-watchdog", daemon=True
         )
-        self._collector.start()
+        self._watchdog.start()
 
     def _await_ready(self, timeout_s: float) -> None:
         """Block until every worker posts ``("ready", id)``, its first
         message; EOF before it means the worker died during startup.
 
-        Runs pre-collector (single-threaded), so the handles are still
+        Runs before any parent thread starts, so the handles are still
         private to the constructor.
         """
         with self._lock:
@@ -418,7 +442,7 @@ class SortFleet:
                         f"fleet worker {handle.worker_id} died during "
                         "startup (see the worker traceback above)"
                     ) from None
-                handle.last_hb = time.monotonic()
+                handle.beat_at = time.monotonic()
 
     def _abort_start(self) -> None:
         with self._lock:
@@ -467,11 +491,9 @@ class SortFleet:
                 raise ServiceClosedError("fleet is closed")
             worker_id = self._router.route(lane_key, rows)
             if worker_id is None:
-                self._recorder.record_rejected(tenant=tenant)
+                self._rejections.record_rejected(tenant=tenant)
                 alive = self._router.alive_workers()
-                retry_after = self._router.retry_after(
-                    self._recorder.rows_per_s()
-                )
+                retry_after = self._router.retry_after(self._rows_per_s())
                 if not alive:
                     raise RejectedError(
                         "no live workers in the fleet; retry after "
@@ -489,46 +511,20 @@ class SortFleet:
                     tenant=tenant,
                     reason="queue-full",
                 )
-            self._recorder.record_submitted(tenant=tenant, rows=rows)
-            inner = self._services[worker_id].submit(
-                staged, deadline=deadline, priority=priority, tenant=tenant
+            future = self._services[worker_id]._enqueue(
+                staged, single, deadline, priority, True, tenant
             )
-        future: "Future[np.ndarray]" = Future()
-        inner.add_done_callback(functools.partial(
-            self._resolve, future, worker_id, rows, tenant, single,
-            time.monotonic(),
-        ))
+        # Resolved (or cancelled): its rows leave the router's view.
+        future.add_done_callback(
+            lambda _, router=self._router: router.record_done(worker_id, rows)
+        )
         return future
 
-    def _resolve(
-        self, future, worker_id, rows, tenant, single, submitted_at, inner
-    ) -> None:
-        """Account for a request its worker's service resolved, then hand
-        the outcome to the caller's future (counters first, so a caller
-        that wakes on it reads them)."""
-        self._router.record_done(worker_id, rows)
-        exc = inner.exception()
-        if exc is None:
-            elapsed = time.monotonic() - submitted_at
-            self._recorder.record_latency(elapsed, tenant=tenant)
-            self._recorder.record_throughput(rows, elapsed)
-        elif isinstance(exc, DeadlineExceededError) and exc.stage == "queued":
-            self._recorder.record_shed(1, tenant=tenant)
-        elif isinstance(exc, DeadlineExceededError):
-            self._recorder.record_deadline_missed(tenant=tenant)
-        elif isinstance(exc, QuarantinedError):
-            self._recorder.record_failed(
-                tenant=tenant, quarantined_rows=len(exc.rows)
-            )
-        else:
-            self._recorder.record_failed(tenant=tenant)
-        if not future.set_running_or_notify_cancel():
-            return
-        if exc is not None:
-            future.set_exception(exc)
-        else:
-            payload = inner.result()
-            future.set_result(payload[0] if single else payload)
+    def _rows_per_s(self) -> Optional[float]:
+        """The slowest worker service's batch throughput (the drain rate
+        behind ``retry_after``); ``None`` before any batch."""
+        rates = (s.recorder.rows_per_s() for s in self._services.values())
+        return min((rate for rate in rates if rate), default=None)
 
     def flush(self, timeout: Optional[float] = None) -> bool:
         """Block until nothing is queued or in flight anywhere in the
@@ -564,37 +560,42 @@ class SortFleet:
             for handle in handles:
                 handle.alive = False
                 self._router.mark_dead(handle.worker_id)
-            # Only a service that timed out above still waits on a
-            # batch: with every worker gone, it sorts it in the parent.
-            stranded = list(self._inflight.values())
-            self._inflight.clear()
-        for batch in stranded:
-            batch.reply.set_result(None)
         for handle in live:
+            # Only a service that timed out above can still be in an
+            # exchange with this worker.  Kill the worker then: that
+            # service reads EOF and, with no worker left, sorts its
+            # batch in the parent.
+            if not handle.lock.acquire(blocking=False):
+                handle.process.kill()
+                continue
             try:
-                handle.send(("stop",))
-            except (OSError, ValueError):  # worker already gone
-                pass
+                handle.stop_locked()
+            finally:
+                handle.lock.release()
         for handle in handles:
             handle.process.join(timeout=5.0)
             if handle.process.is_alive():
                 handle.process.kill()
                 handle.process.join(timeout=5.0)
         with self._wakeup:
-            self._stop_collector = True
-        self._collector.join(timeout=5.0)
+            self._stop_watchdog = True
+        self._watchdog.join(timeout=5.0)
         for handle in handles:
             handle.close()
         # Only now, with every worker joined, can no process still be
-        # reading or writing a slab: unlink the pools and held slabs.
+        # reading or writing a slab: unlink the pools, staged and held
+        # slabs.  A slab still out with a timed-out service is unlinked
+        # when that service releases it (its pool is gone).
         with self._wakeup:
             doomed = [
-                slab for pool in self._free_slabs.values()
+                slab for pool in self._free_slabs.values() if pool
                 for free in pool.values() for slab in free
             ]
             doomed += [batch.slab for batch in self._held.values()]
+            doomed += [batch.slab for batch, _ in self._staged.values()]
             self._free_slabs.clear()
             self._held.clear()
+            self._staged.clear()
             self._slab_pool_bytes -= sum(slab.size for slab in doomed)
         for slab in doomed:
             _unlink_slab(slab)
@@ -615,8 +616,9 @@ class SortFleet:
     def kill_worker(self, worker_id: int) -> None:
         """SIGKILL one worker — the chaos/failover test hook.
 
-        The collector sees EOF on the worker's pipe (or its process
-        sentinel) and fails its batches over to survivors.
+        The service thread waiting on it sees EOF on its pipe (an idle
+        worker's death, the watchdog sees on its process sentinel), and
+        its batches fail over to survivors.
         """
         with self._lock:
             handle = self._handles.get(worker_id)
@@ -626,14 +628,18 @@ class SortFleet:
 
     def stats(self) -> FleetStats:
         """One :class:`FleetStats` snapshot.  Each worker's ``service``
-        is its parent-side service's own snapshot, exact at call time."""
+        is its parent-side service's own snapshot, and ``frontend`` sums
+        those services' recorders plus the router's rejections — both
+        exact at call time."""
         now = time.monotonic()
         router_view = self._router.snapshot()
         services = {
             worker_id: service.stats()
             for worker_id, service in self._services.items()
         }
-        frontend = self._recorder.snapshot(
+        frontend = combined_snapshot(
+            [service.recorder for service in self._services.values()]
+            + [self._rejections],
             queue_requests=sum(view[2] for view in router_view.values()),
             queue_rows=sum(view[1] for view in router_view.values()),
         )
@@ -657,8 +663,8 @@ class SortFleet:
                     ),
                     redispatched=handle.redispatched,
                     heartbeat_age_s=(
-                        now - handle.last_hb
-                        if handle.last_hb is not None
+                        now - handle.beat_at
+                        if handle.beat_at is not None
                         else None
                     ),
                     service=service.as_dict(),
@@ -682,74 +688,91 @@ class SortFleet:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close(drain=exc_type is None)
 
-    # -- batches (each service's dispatch thread) ----------------------------
+    # -- batches (each service's thread) -----------------------------------
+    def _stage(self, worker_id: int, shape, dtype: np.dtype) -> np.ndarray:
+        """:meth:`_WorkerBackend.stage`: the input half of a slab from
+        ``worker_id``'s pool, which that service gathers its next batch
+        into — or a plain array once the worker is dead."""
+        staged = self._take_slab(
+            worker_id, 2 * shape[0] * shape[1] * dtype.itemsize
+        )
+        if staged is None:
+            return np.empty(shape, dtype=dtype)
+        view = _slab_half(staged.slab, shape, dtype, 0)
+        with self._wakeup:
+            self._staged[worker_id] = (staged, view)
+        return view
+
     def _sort_batch(self, worker_id: int, batch: np.ndarray) -> _BatchResult:
         """:meth:`_WorkerBackend.sort` for ``worker_id``'s service.
 
-        Runs ``batch`` on ``worker_id``.  If that worker is dead, or dies
-        with the batch in flight, the batch is re-staged — from the
-        pristine input half once it has one — onto the router's
+        Runs ``batch`` on ``worker_id`` — from the slab it was gathered
+        into when it is the staged buffer, else copied into one.  If
+        that worker is dead, or dies with the batch in flight, the batch
+        is re-staged from the pristine input half onto the router's
         failover survivor, and sorted in the parent when none is left.
         """
-        self._release_held(worker_id)
+        with self._wakeup:
+            held = self._held.pop(worker_id, None)
+            current, view = self._staged.pop(worker_id, (None, None))
+        if held is not None:
+            self._release_slab(held)
+        if current is not None and view is not batch:
+            # A re-sort of one request (the isolation path), not the
+            # gathered batch: the staged slab is not needed.
+            self._release_slab(current)
+            current = None
         shape, dtype = batch.shape, batch.dtype
-        lane_key = (shape[1], dtype.str)
         target: Optional[int] = worker_id
-        source: Optional[np.ndarray] = batch
-        lost: Optional[_Batch] = None  # the attempt whose worker died
         try:
             while target is not None:
-                staged = self._stage(target, source)
+                if current is None or current.worker_id != target:
+                    fresh = self._take_slab(target, 2 * batch.nbytes)
+                    if fresh is not None:  # None: target died meanwhile
+                        np.copyto(_slab_half(fresh.slab, shape, dtype, 0),
+                                  _pristine(batch, current))
+                        if current is not None:
+                            self._release_slab(current)
+                        current = fresh
                 reply = None
-                if staged is not None:
-                    # The pristine input now lives in the new slab.
-                    source = None
-                    if lost is not None:
-                        self._release_slab(lost.slab, lost.worker_id)
-                        lost = None
-                    reply = staged.reply.result()
+                if current is not None and current.worker_id == target:
+                    reply = self._exchange(current, shape, dtype)
                 if target != worker_id:  # a failover target: done with it
                     self._router.record_done(target, shape[0])
                 if reply is not None:
-                    return self._finish(worker_id, staged, reply, shape, dtype)
-                if staged is not None:
-                    lost = staged
-                    source = _slab_half(lost.slab, shape, dtype, 0)
+                    finished, current = current, None
+                    return self._finish(worker_id, finished, reply, shape, dtype)
                 # A dead worker has left routing, so this is a survivor.
-                target = self._router.route_failover(lane_key, shape[0])
+                target = self._router.route_failover((shape[1], dtype.str), shape[0])
             from ..resilience import ResilientSorter
 
-            return ResilientSorter(self.config, sleep=None).sort(source)
-        finally:
-            source = None
-            if lost is not None:
-                self._release_slab(lost.slab, lost.worker_id)
-
-    def _stage(self, target: int, source: np.ndarray) -> Optional[_Batch]:
-        """Copy ``source`` into a slab from ``target``'s pool and send its
-        descriptor; ``None`` when ``target`` is already dead.  A worker
-        that dies after this point resolves the reply with ``None``."""
-        with self._wakeup:
-            handle = self._handles[target]
-            if not handle.alive:
-                return None
-            staged = _Batch(
-                self._seq, target,
-                self._take_slab_locked(target, 2 * source.nbytes),
+            return ResilientSorter(self.config, sleep=None).sort(
+                _pristine(batch, current)
             )
-            self._seq += 1
-            self._inflight[staged.batch_id] = staged
-        np.copyto(
-            _slab_half(staged.slab, source.shape, source.dtype, 0), source
-        )
-        try:
-            handle.send((
-                "sort", staged.batch_id, staged.slab.name, source.shape[0],
-                source.shape[1], source.dtype.str,
+        finally:
+            if current is not None:
+                self._release_slab(current)
+
+    def _exchange(self, staged: _Batch, shape, dtype) -> Optional[tuple]:
+        """Send ``staged``'s descriptor to the worker whose pool it came
+        from and wait for the one reply.  ``None`` when that worker is
+        dead or dies first; it is then failed over from here."""
+        with self._wakeup:
+            handle = self._handles[staged.worker_id]
+        with handle.lock:
+            with self._wakeup:
+                if not handle.alive:
+                    return None
+                handle.inflight = staged.slab
+                unmap, handle.unmap = handle.unmap, []
+            reply = handle.exchange_locked((
+                "sort", staged.slab.name, shape[0], shape[1], dtype.str, unmap,
             ))
-        except (OSError, ValueError):
-            pass  # the worker is gone: its failover resolves the reply
-        return staged
+            with self._wakeup:
+                handle.inflight = None
+        if reply is None:
+            self._fail_over(handle)
+        return reply
 
     def _finish(
         self, worker_id: int, staged: _Batch, reply: tuple, shape, dtype
@@ -757,114 +780,96 @@ class SortFleet:
         """Turn a worker's reply into the service's sort result; the slab
         stays held for the service's demux until its next sort."""
         if reply[0] == "error":
-            self._release_slab(staged.slab, staged.worker_id)
-            raise rebuild_error(*reply[2:])
+            self._release_slab(staged)
+            raise rebuild_error(*reply[1:])
         with self._wakeup:
             self._held[worker_id] = staged
         return _BatchResult(
-            _slab_half(staged.slab, shape, dtype, 1), reply[2], reply[3]
+            _slab_half(staged.slab, shape, dtype, 1), reply[1], reply[2]
         )
 
-    def _release_held(self, worker_id: int) -> None:
-        with self._wakeup:
-            held = self._held.pop(worker_id, None)
-        if held is not None:
-            self._release_slab(held.slab, held.worker_id)
-
     # -- slab pools ----------------------------------------------------------
-    def _take_slab_locked(
-        self, worker_id: int, nbytes: int
-    ) -> shared_memory.SharedMemory:
-        """A free slab of ``nbytes``' class from ``worker_id``'s pool; a
-        new one only when that free list is empty."""
-        size = _slab_class(nbytes)
-        free = self._free_slabs.get(worker_id, {}).get(size)
-        if free:
-            return free.pop()
-        shm = shared_memory.SharedMemory(create=True, size=size)
-        self._slabs_created += 1
-        self._slab_pool_bytes += shm.size
-        return shm
+    def _take_slab(self, worker_id: int, nbytes: int) -> Optional[_Batch]:
+        """The smallest free slab of ``worker_id``'s pool that holds
+        ``nbytes``; ``None`` once that worker is dead.
 
-    def _release_slab(
-        self, shm: shared_memory.SharedMemory, worker_id: int
-    ) -> None:
-        """Return a slab to ``worker_id``'s pool, or unlink it when that
-        pool is gone (the worker died, or the fleet closed): a dead
-        worker's slab is never handed out again."""
+        When none fits, every free slab is smaller than ``nbytes``: they
+        are unlinked (the worker unmaps them at its next descriptor) and
+        one new slab of ``nbytes``' class is made, so a pool never keeps
+        slabs it has outgrown.
+        """
         with self._wakeup:
             pool = self._free_slabs.get(worker_id)
+            if pool is None:
+                return None
+            fits = [size for size, free in pool.items() if free and size >= nbytes]
+            if fits:
+                return _Batch(worker_id, pool[min(fits)].pop())
+            outgrown = [slab for free in pool.values() for slab in free]
+            pool.clear()
+            self._handles[worker_id].unmap += [slab.name for slab in outgrown]
+            shm = shared_memory.SharedMemory(
+                create=True, size=_slab_class(nbytes)
+            )
+            self._slabs_created += 1
+            self._slab_pool_bytes += shm.size - sum(s.size for s in outgrown)
+        for slab in outgrown:
+            _unlink_slab(slab)
+        return _Batch(worker_id, shm)
+
+    def _release_slab(self, staged: _Batch) -> None:
+        """Return a slab to its worker's pool, or unlink it when that
+        pool is gone: a dead worker's slab is retired, never handed out
+        again, and after ``close`` every slab goes."""
+        with self._wakeup:
+            pool = self._free_slabs.get(staged.worker_id)
             if pool is not None:
-                pool.setdefault(shm.size, []).append(shm)
+                pool.setdefault(staged.slab.size, []).append(staged.slab)
                 return
-            self._slab_pool_bytes -= shm.size
-        _unlink_slab(shm)
+            self._slab_pool_bytes -= staged.slab.size
+            if staged.worker_id in self._free_slabs:  # None: worker died
+                self._slabs_retired += 1
+        _unlink_slab(staged.slab)
 
-    # -- collector thread --------------------------------------------------
-    def _collect(self) -> None:
-        """Resolve batch replies, track heartbeats, detect deaths.
+    # -- watchdog thread ---------------------------------------------------
+    def _watch(self) -> None:
+        """Catch workers that die or stall while no batch waits on them.
 
-        Waits on every live worker's pipe and process sentinel at once.
-        EOF or an exited process fails the worker over immediately;
-        heartbeat silence (a stalled process) after ``liveness_s``.
+        Waits on every live worker's process sentinel for one heartbeat
+        period at a time, then reads the shared heartbeat counters: a
+        worker whose counter has not moved for ``liveness_s`` (a
+        SIGSTOPped process) is failed over like one that exited.  A
+        worker that dies mid-batch is also seen by the service thread
+        waiting on it; whichever comes first fails it over.
         """
         while True:
-            with self._lock:
-                if self._stop_collector:
+            with self._wakeup:
+                if self._stop_watchdog:
                     return
                 live = [h for h in self._handles.values() if h.alive]
-            owner: Dict[object, _WorkerHandle] = {}
-            for handle in live:
-                owner[handle.conn] = handle
-                owner[handle.process.sentinel] = handle
-            ready = connection.wait(list(owner), timeout=self.heartbeat_s)
-            for handle in {owner[obj] for obj in ready}:
-                # Drain the pipe before acting on an exit: replies the
-                # worker sent before it died are still good.
-                if (
-                    not self._receive(handle)
-                    or handle.process.sentinel in ready
-                ):
-                    self._fail_over(handle)
-            self._check_liveness()
-
-    def _receive(self, handle: _WorkerHandle) -> bool:
-        """Act on every message waiting on ``handle``'s pipe; False at
-        EOF (the worker is gone)."""
-        while True:
-            try:
-                if not handle.conn.poll():
-                    return True
-                msg = handle.conn.recv()
-            except (EOFError, OSError):
-                return False
+            ready = connection.wait(
+                [handle.process.sentinel for handle in live],
+                timeout=self.heartbeat_s,
+            )
+            now = time.monotonic()
+            dead = []
             with self._wakeup:
-                if msg[0] == "hb":
-                    handle.last_hb = time.monotonic()
-                    continue
-                # "done" or "error": the one reply to a batch.
-                batch = self._inflight.pop(msg[1], None)
-            if batch is not None:
-                batch.reply.set_result(msg)
-
-    def _check_liveness(self) -> None:
-        """Declare dead any worker whose heartbeat is older than the
-        liveness deadline; fail each over."""
-        now = time.monotonic()
-        with self._lock:
-            suspects = [
-                handle for handle in self._handles.values()
-                if handle.alive
-                and handle.last_hb is not None
-                and now - handle.last_hb > self.liveness_s
-            ]
-        for handle in suspects:
-            self._fail_over(handle)
+                for handle in live:
+                    beat = self._beats[handle.worker_id]
+                    if beat != handle.beat:
+                        handle.beat, handle.beat_at = beat, now
+                    if (
+                        handle.process.sentinel in ready
+                        or now - handle.beat_at > self.liveness_s
+                    ):
+                        dead.append(handle)
+            for handle in dead:
+                self._fail_over(handle)
 
     def _fail_over(self, handle: _WorkerHandle) -> None:
-        """Take a dead worker out of routing, retire its slabs, and hand
-        its in-flight batches back to their services' backends, which
-        re-stage them on survivors.
+        """Take a dead worker out of routing and retire its slabs: the
+        idle ones now, the rest as their services release them.  The
+        batches it held are re-staged by their services' backends.
 
         The requests the worker held — in flight or still queued in its
         service — count as ``redispatched`` while a survivor remains,
@@ -876,21 +881,10 @@ class SortFleet:
                 return
             handle.alive = False
             self._failovers += 1
-            orphans = [
-                batch for batch in self._inflight.values()
-                if batch.worker_id == worker_id
-            ]
-            for batch in orphans:
-                del self._inflight[batch.batch_id]
-            pool = self._free_slabs.pop(worker_id, {})
+            pool = self._free_slabs.get(worker_id) or {}
+            self._free_slabs[worker_id] = None
             idle = [slab for free in pool.values() for slab in free]
-            held = sum(
-                1 for batch in self._held.values()
-                if batch.worker_id == worker_id
-            )
-            # Idle slabs go now; orphaned and held ones when their
-            # backend releases them (no pool: unlinked).
-            self._slabs_retired += len(idle) + len(orphans) + held
+            self._slabs_retired += len(idle)
             self._slab_pool_bytes -= sum(slab.size for slab in idle)
             moved = self._router.snapshot()[worker_id][2]
             self._router.mark_dead(worker_id)
@@ -906,5 +900,3 @@ class SortFleet:
             handle.process.kill()
         for slab in idle:
             _unlink_slab(slab)
-        for batch in orphans:
-            batch.reply.set_result(None)

@@ -8,9 +8,9 @@ The fleet's scrape surface follows the service's
 
   - ``fleet`` — the aggregate caller-facing counters (admission,
     completion, failover tallies, in-flight depth, latency
-    percentiles, per-tenant slices) from the fleet's own recorder,
-    plus the shared-memory slab pools' created/retired counts and
-    held bytes;
+    percentiles, per-tenant slices) of ``FleetStats.frontend``, plus
+    the shared-memory slab pools' created/retired counts and held
+    bytes;
   - ``workers`` — one block per worker process: liveness, outstanding
     work, dispatch/failover counters, and the ``ServiceStats`` snapshot
     of the worker's parent-side service (its batch occupancy, its

@@ -3,11 +3,12 @@
 Two layers:
 
 * the **front-end** — admission, routing, completion, and latency as
-  seen by callers of :meth:`~repro.fleet.SortFleet.submit`.  The fleet
-  reuses the service's :class:`~repro.service.stats.StatsRecorder`
-  wholesale for this (same counters, same bounded latency ring, same
-  per-tenant slices), so fleet-level and service-level snapshots stay
-  directly comparable;
+  seen by callers of :meth:`~repro.fleet.SortFleet.submit`.  It is the
+  workers' parent-side services' :class:`~repro.service.stats.StatsRecorder`
+  counters summed (latency windows pooled, tenants merged) plus the
+  router's rejections, built when the snapshot is taken — each request
+  is recorded once, by the service it was routed to — so fleet-level
+  and service-level snapshots stay directly comparable;
 * the **workers** — one :class:`WorkerState` per worker process:
   liveness, outstanding work, failover tallies, and the
   :class:`~repro.service.stats.ServiceStats` of the worker's
@@ -50,7 +51,9 @@ class WorkerState:
     #: Requests this worker held (in flight or queued) when it died,
     #: re-dispatched to survivors.
     redispatched: int
-    #: Seconds since the last heartbeat (None before the first one).
+    #: Seconds since the watchdog last saw the worker's heartbeat
+    #: counter move (None before the first one).  The watchdog reads the
+    #: counters once per ``heartbeat_s``, so that is its resolution.
     heartbeat_age_s: Optional[float]
     #: The worker's parent-side ServiceStats, as a dict.
     service: Dict[str, object] = dataclasses.field(default_factory=dict)

@@ -9,17 +9,15 @@ worker's parent-side :class:`~repro.service.SortService`; the worker
 sees whole batches only.  The pipe is this worker's alone: no lock,
 queue or feeder thread is shared with another worker.
 
-**Zero-copy handoff, pooled two-region slabs.**  The parent stages each
-batch into a ``multiprocessing.shared_memory`` slab from this worker's
-pool, laid out as ``[input | output]`` — two equal halves at the front
-of a segment whose power-of-two class may be larger than the batch.
-The worker maps each slab the first time its name arrives and keeps the
-mapping for its whole life (the pool reuses slabs, so later batches
-cost no attach).  It sorts the *input* half and copies the result into
-the *output* half.  The input half is never mutated by the worker,
-which is the failover invariant: if this process dies mid-sort — even
-mid-memcpy of a result — the parent still holds a pristine copy of the
-batch and can re-stage it for a surviving worker.
+**Zero-copy handoff, pooled two-region slabs.**  Each batch arrives in
+a ``multiprocessing.shared_memory`` slab from this worker's pool, laid
+out as ``[input | output]`` at the front of a segment that may be larger
+than the batch.  The worker maps a slab when its name first arrives and
+unmaps it when a descriptor says the parent pruned it.  It copies the
+input half into the output half and sorts that in place.  It never
+writes the input half — the failover invariant: if this process dies
+mid-sort, even mid-memcpy, the parent still holds a pristine copy of
+the batch to re-stage on a survivor.
 
 **Errors cross the boundary as data.**  A sort that raises is flattened
 to ``(kind, message, fields)`` and rebuilt on the parent side: a
@@ -27,13 +25,14 @@ checked-build :class:`~repro.statan.runtime.SanitizerError` keeps its
 report, anything else becomes a ``RuntimeError`` naming the original
 type.
 
-**Heartbeats.**  A daemon thread sends ``("hb", worker_id)`` every
-``heartbeat_s`` seconds.  A dead worker shows as EOF on its pipe, so
-the cadence matters for the one death that closes nothing: a stalled
-(SIGSTOPped) process, declared dead once it is silent past the
-liveness deadline.  The same thread ends an orphaned worker: once the
-parent pid changes (the parent died and the worker was re-parented),
-the worker exits instead of waiting on a pipe nobody will write to.
+**Heartbeats.**  A daemon thread bumps this worker's slot of a shared
+counter array every ``heartbeat_s`` seconds, so only replies cross the
+pipe and only the main thread writes it.  Death shows as EOF and as
+the process sentinel; the counter covers the death that closes
+nothing, a stalled (SIGSTOPped) process, which the parent's watchdog
+declares dead once the counter stops moving past the liveness
+deadline.  The same thread exits an orphaned worker (its parent pid
+changed) instead of leaving it waiting on a pipe nobody will write to.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import multiprocessing
 import os
 import threading
 from multiprocessing import shared_memory
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -96,13 +95,13 @@ def rebuild_error(
 
 
 def _heartbeat_loop(
+    beats,
     worker_id: int,
-    send: Callable[[tuple], None],
     interval_s: float,
     stop: threading.Event,
     parent_pid: Optional[int],
 ) -> None:
-    """Send liveness until told to stop.
+    """Bump ``beats[worker_id]`` every ``interval_s`` until told to stop.
 
     When ``parent_pid`` is set and is no longer this process's parent,
     the parent is dead and the process exits on the spot.  The main
@@ -113,19 +112,44 @@ def _heartbeat_loop(
     while not stop.wait(interval_s):
         if parent_pid is not None and os.getppid() != parent_pid:
             os._exit(1)
-        send(("hb", worker_id))
+        beats[worker_id] += 1
 
 
-def worker_main(worker_id: int, conn, cfg: WorkerConfig) -> None:
+def _sort_slab(sorter, shm, rows: int, row_len: int, dtype: np.dtype, tag: str):
+    """Sort one batch in its slab; the reply to send.  The shape comes
+    from the descriptor, never from the segment size, and no view of
+    the slab outlives the call, so a pruned slab can be unmapped."""
+    full = np.ndarray((2 * rows, row_len), dtype=dtype, buffer=shm.buf)
+    work, out = full[:rows], full[rows:]
+    if _sanitizer.enabled():
+        # Checked build: enforce the failover invariant mechanically —
+        # the worker must never write the input half.
+        work = _sanitizer.guard_readonly(work, f"fleet-input-slab:{tag}")
+    try:
+        np.copyto(out, work)
+        result = sorter.sort(out, inplace=True)
+        if result.batch is not out:  # a backend that sorted a copy
+            np.copyto(out, result.batch)
+    except Exception as exc:  # noqa: BLE001 - crosses as data
+        return ("error", *describe_error(exc))
+    return (
+        "done",
+        [int(row) for row in getattr(result, "quarantined", ())],
+        dict(getattr(result, "quarantine_reasons", None) or {}),
+    )
+
+
+def worker_main(worker_id: int, conn, cfg: WorkerConfig, beats) -> None:
     """Process entry point: sort batches until ``("stop",)`` or EOF.
 
-    ``conn`` is the worker's end of its duplex pipe.  The first message
-    sent is ``("ready", worker_id)``.  Each request from the parent is
-    ``("sort", batch_id, shm_name, rows, row_len, dtype_str)``: map the
-    two-region slab (once per name), sort the input half, copy the
-    result into the output half, and answer ``("done", batch_id,
-    quarantined_rows, quarantine_reasons)`` or ``("error", batch_id,
-    kind, message, fields)``.
+    ``conn`` is the worker's end of its duplex pipe and ``beats`` the
+    shared heartbeat counters.  The first message sent is ``("ready",
+    worker_id)``.  Each request from the parent is ``("sort", shm_name,
+    rows, row_len, dtype_str, unmap)``: unmap the slabs named in
+    ``unmap``, map the two-region slab (once per name), sort the batch
+    into the output half, and answer ``("done", quarantined_rows,
+    quarantine_reasons)`` or ``("error", kind, message, fields)``.  One
+    batch is in flight per pipe, so a reply needs no id.
     """
     from ..service import SortService
 
@@ -136,31 +160,19 @@ def worker_main(worker_id: int, conn, cfg: WorkerConfig) -> None:
         planner = resolve_planner(cfg.planner)
     sorter = SortService._make_backend(cfg.backend, cfg.config, planner)
 
-    # The main thread's replies and the heartbeat thread share the pipe.
-    send_lock = threading.Lock()
-
-    def send(msg: tuple) -> None:
-        with send_lock:
-            try:
-                conn.send(msg)
-            except (OSError, ValueError):
-                pass  # the parent's end is gone: nobody left to answer
-
-    send(("ready", worker_id))
+    conn.send(("ready", worker_id))
     stop = threading.Event()
     threading.Thread(
         target=_heartbeat_loop,
         # parent_process() is None when not started by multiprocessing
         # (in-thread use): there is then no parent to outlive.
-        args=(worker_id, send, cfg.heartbeat_s, stop,
+        args=(beats, worker_id, cfg.heartbeat_s, stop,
               getattr(multiprocessing.parent_process(), "pid", None)),
         name=f"repro-fleet-hb-{worker_id}",
         daemon=True,
     ).start()
 
-    # Slab name -> mapped segment, for the worker's whole life: the
-    # parent reuses pooled slabs, and unlinks one only after this
-    # process is dead or joined.
+    # Slab name -> mapped segment, until a descriptor's ``unmap`` names it.
     slabs: Dict[str, shared_memory.SharedMemory] = {}
     try:
         while True:
@@ -170,32 +182,20 @@ def worker_main(worker_id: int, conn, cfg: WorkerConfig) -> None:
                 break
             if msg[0] == "stop":
                 break
-            _, batch_id, shm_name, rows, row_len, dtype_str = msg
+            _, shm_name, rows, row_len, dtype_str, unmap = msg
+            for name in unmap:
+                try:
+                    slabs.pop(name).close()
+                except (KeyError, BufferError):
+                    pass  # never mapped, or a live view keeps the mapping
             shm = slabs.get(shm_name)
             if shm is None:
                 shm = slabs[shm_name] = shared_memory.SharedMemory(name=shm_name)
-            # The slab's class may be larger than the batch: the shape
-            # comes from the message, never from the segment size.
-            full = np.ndarray(
-                (2 * rows, row_len), dtype=np.dtype(dtype_str), buffer=shm.buf
-            )
-            work, out = full[:rows], full[rows:]
-            if _sanitizer.enabled():
-                # Checked build: enforce the failover invariant
-                # mechanically — the worker must never write the input half.
-                work = _sanitizer.guard_readonly(
-                    work, f"fleet-input-slab:batch{batch_id}"
-                )
             try:
-                result = sorter.sort(work)
-                np.copyto(out, result.batch)
-            except Exception as exc:  # noqa: BLE001 - crosses as data
-                send(("error", batch_id, *describe_error(exc)))
-            else:
-                send((
-                    "done", batch_id,
-                    [int(row) for row in getattr(result, "quarantined", ())],
-                    dict(getattr(result, "quarantine_reasons", None) or {}),
+                conn.send(_sort_slab(
+                    sorter, shm, rows, row_len, np.dtype(dtype_str), shm_name
                 ))
+            except (OSError, ValueError):
+                break  # the parent's end is gone: nobody left to answer
     finally:
         stop.set()

@@ -177,13 +177,18 @@ class ResilientSorter:
         self.stats = ResilienceStats()
 
     # -- public API --------------------------------------------------------
-    def sort(self, batch: np.ndarray) -> ResilientSortResult:
+    def sort(
+        self, batch: np.ndarray, *, inplace: bool = False
+    ) -> ResilientSortResult:
         """Sort every row of ``batch``, healing around faults.
 
         Never raises for transient device faults, output corruption, or
         poisoned rows — those become retries, fallbacks, and quarantine
         entries.  Malformed *batches* (wrong shape/dtype) still raise
         ``ValueError`` at the boundary: they are caller bugs, not faults.
+        ``inplace=True`` writes the healed rows into ``batch`` itself
+        and returns it as ``result.batch`` (quarantined rows keep their
+        input bytes); the default leaves ``batch`` untouched.
         """
         batch = validate_batch(batch)
         stats = ResilienceStats()
@@ -192,14 +197,14 @@ class ResilientSorter:
         if n_rows == 0:
             self.stats.merge(stats)
             return ResilientSortResult(
-                batch=np.array(batch, copy=True),
+                batch=batch if inplace else np.array(batch, copy=True),
                 stats=stats,
                 quarantined=np.empty(0, dtype=np.int64),
                 quarantine_reasons=reasons,
             )
 
         reference = np.array(batch, copy=True)
-        out = np.array(batch, copy=True)
+        out = batch if inplace else np.array(batch, copy=True)
         pending = np.arange(n_rows, dtype=np.int64)
 
         # Poisoned-input routing: under nan_policy="raise" the engines

@@ -159,7 +159,10 @@ class SortService:
         ``None`` (a :class:`GpuArraySort` with a scratch arena — the
         default), ``"resilient"`` (a :class:`ResilientSorter` for
         verify/retry/quarantine semantics), or any object whose
-        ``sort(batch)`` returns a result with a ``batch`` attribute.
+        ``sort(batch, *, inplace=False)`` returns a result with a
+        ``batch`` attribute.  The service passes ``inplace=True`` for
+        the batch it gathered (its own buffer) and never for a caller's
+        arrays.
     batch_target_rows:
         Queued rows that trigger a dispatch (default
         :data:`DEFAULT_BATCH_TARGET_ROWS`).
@@ -222,6 +225,9 @@ class SortService:
 
             resolved_planner = resolve_planner(planner)
         self._sorter = self._make_backend(backend, config, resolved_planner)
+        # Optional backend hook: ``stage(shape, dtype)`` returns the buffer
+        # the next batch is gathered into (a fleet worker's slab).
+        self._stage = getattr(self._sorter, "stage", None)
         if batch_target_rows is None:
             batch_target_rows = DEFAULT_BATCH_TARGET_ROWS
         if batch_target_rows < 1:
@@ -355,7 +361,15 @@ class SortService:
         staged, single, deadline = validate_request(
             arrays, deadline, tenant, self.default_deadline_ms
         )
+        return self._enqueue(staged, single, deadline, priority, copy, tenant)
 
+    def _enqueue(
+        self, staged: np.ndarray, single: bool, deadline: Optional[float],
+        priority: int, copy: bool, tenant: str,
+    ) -> "Future[np.ndarray]":
+        """:meth:`submit` past :func:`validate_request` — the entry point
+        of a front-end that has validated the request itself (a
+        :class:`~repro.fleet.SortFleet` routing onto this service)."""
         future: "Future[np.ndarray]" = Future()
         with self._wakeup:
             if self._closed:
@@ -481,6 +495,12 @@ class SortService:
         """The execution backend (single-owner: the batcher thread)."""
         return self._sorter
 
+    @property
+    def recorder(self) -> StatsRecorder:
+        """The live counters behind :meth:`stats` (internally locked), for
+        a front-end that reports several services as one."""
+        return self._recorder
+
     def stats(self) -> ServiceStats:
         """One consistent :class:`ServiceStats` snapshot."""
         with self._lock:
@@ -574,10 +594,17 @@ class SortService:
             # A new dispatch reuses the batch staging: every copy=False
             # view handed out by the previous dispatch is now stale.
             _sanitizer.new_epoch(("SortService.demux", id(self)))
-        batch = np.concatenate([r.arrays for r in live], axis=0)
+        first = live[0].arrays
+        out = None
+        if self._stage is not None:
+            out = self._stage(
+                (sum(r.rows for r in live), first.shape[1]), first.dtype
+            )
+        batch = np.concatenate([r.arrays for r in live], axis=0, out=out)
         t0 = self._clock()
         try:
-            result = self._sorter.sort(batch)
+            # The batch is the service's own gather buffer: sort it in place.
+            result = self._sorter.sort(batch, inplace=True)
         except Exception as exc:  # noqa: BLE001 - isolate, then re-raise per request
             self._isolate_failure(live, exc)
             return
@@ -593,6 +620,8 @@ class SortService:
         One poisoned request (e.g. NaN rows under ``nan_policy="raise"``)
         fails the whole coalesced batch, so re-run each request alone:
         innocents get their results, culprits get the real exception.
+        Each re-run sorts a copy (``inplace`` stays off): the arrays are
+        the caller's.
         """
         if len(live) == 1:
             with self._lock:
@@ -660,13 +689,13 @@ class SortService:
                     )
                 )
                 return
-        # Retained results are copied out of the batch: a fused backend's
-        # batch lives in its arena (result.scratch), which the next
-        # dispatch reuses, and a copy never pins the whole batch.
-        # copy=False callers keep the zero-copy view, valid until the
-        # service's next dispatch — the StreamingSorter on_batch contract
-        # (a radix plan's batch under 32 MiB is fresh per dispatch, which
-        # is stronger).
+        # Retained results are copied out of the batch: a backend's result
+        # may live in storage the next dispatch reuses (a fleet slab, an
+        # arena), and a copy never pins the whole batch.  copy=False
+        # callers keep the zero-copy view, valid until the service's next
+        # dispatch — the StreamingSorter on_batch contract (the default
+        # backend sorts the service's freshly gathered batch in place,
+        # which is stronger).
         payload = np.array(rows, copy=True) if request.copy else rows  # statan: scratch-view
         if not request.copy and _sanitizer.enabled():
             payload = _sanitizer.track_view(

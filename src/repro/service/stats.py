@@ -25,13 +25,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..statan import runtime as _sanitizer
 
-__all__ = ["ServiceStats", "StatsRecorder", "TenantStats"]
+__all__ = [
+    "ServiceStats", "StatsRecorder", "TenantStats", "combined_snapshot",
+]
 
 
 def _occupancy_bucket(rows: int) -> str:
@@ -314,18 +316,9 @@ class StatsRecorder:
             window = list(self._latencies)
         return _percentiles(window)
 
-    def snapshot(
-        self,
-        *,
-        queue_requests: int,
-        queue_rows: int,
-    ) -> ServiceStats:
-        """One consistent snapshot: every field read under the same lock.
-
-        The lock covers copying the counters and latency windows;
-        ``np.percentile`` runs on the copies after it is released, so
-        the completion path's :meth:`record_latency` never waits on it.
-        """
+    def _copy(self):
+        """Counters, latency window and per-tenant tallies + windows,
+        copied under the lock (percentiles are computed on the copies)."""
         with self._lock:
             counters = dict(
                 submitted=self.submitted,
@@ -341,17 +334,72 @@ class StatsRecorder:
             window = list(self._latencies)
             tenants = [
                 (tenant.tallies(), tenant.latency_window())
-                for _, tenant in sorted(self._tenants.items())
+                for tenant in self._tenants.values()
             ]
-        return ServiceStats(
-            **counters,
-            queue_depth_requests=int(queue_requests),
-            queue_depth_rows=int(queue_rows),
-            latency_ms=_percentiles(window),
-            tenants={
-                tallies["tenant"]: TenantStats(
-                    **tallies, latency_ms=_percentiles(tenant_window)
-                )
-                for tallies, tenant_window in tenants
-            },
+        return counters, window, tenants
+
+    def snapshot(
+        self,
+        *,
+        queue_requests: int,
+        queue_rows: int,
+    ) -> ServiceStats:
+        """One consistent snapshot: every field read under the same lock.
+
+        The lock covers copying the counters and latency windows;
+        ``np.percentile`` runs on the copies after it is released, so
+        the completion path's :meth:`record_latency` never waits on it.
+        """
+        return combined_snapshot(
+            [self], queue_requests=queue_requests, queue_rows=queue_rows
         )
+
+
+def combined_snapshot(
+    recorders: Sequence[StatsRecorder], *, queue_requests: int, queue_rows: int
+) -> ServiceStats:
+    """One :class:`ServiceStats` over several recorders: counters and
+    histograms summed, latency windows pooled, tenants merged by name.
+
+    Each recorder is copied under its own lock, so the result is exact
+    per recorder; :class:`~repro.fleet.SortFleet` builds its front-end
+    view this way from its workers' services, so no request is
+    recorded twice.
+    """
+    totals: Dict[str, object] = {}
+    window: List[float] = []
+    tenants: Dict[str, Dict[str, object]] = {}
+    tenant_windows: Dict[str, List[float]] = {}
+    for recorder in recorders:
+        counters, latencies, tenant_rows = recorder._copy()
+        for name, value in counters.items():
+            if name == "occupancy_histogram":
+                merged = totals.setdefault(name, {})
+                for bucket, count in value.items():
+                    merged[bucket] = merged.get(bucket, 0) + count
+            else:
+                totals[name] = totals.get(name, 0) + value
+        window += latencies
+        for tallies, tenant_window in tenant_rows:
+            name = tallies["tenant"]
+            merged = tenants.get(name)
+            if merged is None:
+                tenants[name] = tallies
+                tenant_windows[name] = tenant_window
+                continue
+            for key, value in tallies.items():
+                if key != "tenant":
+                    merged[key] += value
+            tenant_windows[name] += tenant_window
+    return ServiceStats(
+        **totals,
+        queue_depth_requests=int(queue_requests),
+        queue_depth_rows=int(queue_rows),
+        latency_ms=_percentiles(window),
+        tenants={
+            name: TenantStats(
+                **tenants[name], latency_ms=_percentiles(tenant_windows[name])
+            )
+            for name in sorted(tenants)
+        },
+    )

@@ -231,17 +231,27 @@ class TestStats:
             assert state.heartbeat_age_s is not None
 
     def test_one_message_per_batch(self, monkeypatch):
-        from repro.fleet.fleet import _WorkerHandle
+        # Count what crosses the parent's ends of the pipes once the
+        # workers are ready: one descriptor out and one reply in per
+        # batch, and no heartbeat traffic at all.
+        from multiprocessing.connection import Connection
 
-        sent = []
-        send = _WorkerHandle.send
+        sent, received = [], []
+        send, recv = Connection.send, Connection.recv
 
-        def counting_send(self, msg):
-            sent.append(msg[0])
-            send(self, msg)
+        def counting_send(self, obj):
+            sent.append(obj[0])
+            send(self, obj)
 
-        monkeypatch.setattr(_WorkerHandle, "send", counting_send)
+        def counting_recv(self):
+            msg = recv(self)
+            received.append(msg[0])
+            return msg
+
+        monkeypatch.setattr(Connection, "send", counting_send)
+        monkeypatch.setattr(Connection, "recv", counting_recv)
         with small_fleet(workers=1, linger_ms=50.0) as fl:
+            del received[:]  # the worker's "ready"
             rows = [RNG.uniform(0, 1, size=32) for _ in range(64)]
             futures = [fl.submit(row) for row in rows]
             for row, future in zip(rows, futures):
@@ -249,9 +259,62 @@ class TestStats:
                     future.result(timeout=30), np.sort(row)
                 )
             assert fl.flush(timeout=30)
+            time.sleep(5 * fl.heartbeat_s)  # heartbeats would show by now
             batches = fl.stats().workers[0].service["batches"]
             assert sent == ["sort"] * batches
+            assert received == ["done"] * batches
             assert batches <= 8
+
+    def test_frontend_is_the_services_plus_router_rejections(self):
+        with small_fleet(workers=2, max_worker_queue_rows=8,
+                         retry_jitter=0.0) as fl:
+            futures = [
+                fl.submit(RNG.uniform(0, 1, size=(2, 16)), tenant=tenant)
+                for tenant in ("alpha", "beta", "alpha")
+            ]
+            concurrent.futures.wait(futures, timeout=30)
+            assert fl.flush(timeout=30)
+            # Park both workers' router view at the bound: the next
+            # submits are the router's to reject.
+            for worker_id in fl.worker_ids():
+                fl._router.route(("park", worker_id), 8)
+            rejected = 0
+            for _ in range(3):
+                with pytest.raises(RejectedError):
+                    fl.submit(np.zeros((4, 16)), tenant="beta")
+                rejected += 1
+            stats = fl.stats()
+            services = [w.service for w in stats.workers.values()]
+            for name in ("submitted", "completed", "failed", "shed"):
+                assert getattr(stats.frontend, name) == sum(
+                    service[name] for service in services
+                ), name
+            assert stats.frontend.submitted == 3
+            assert stats.frontend.completed == 3
+            assert stats.frontend.rejected == rejected
+            assert sum(service["rejected"] for service in services) == 0
+            assert stats.frontend.tenants["alpha"].completed == 2
+            assert stats.frontend.tenants["beta"].completed == 1
+            assert stats.frontend.tenants["beta"].rejected == rejected
+            assert stats.frontend.latency_ms["max"] > 0
+            for worker_id in fl.worker_ids():
+                fl._router.record_done(worker_id, 8)
+
+
+class TestThreads:
+    def test_one_service_thread_per_worker_and_a_watchdog(self):
+        # The parent runs one thread per worker on the batch path (that
+        # worker's service thread) plus one watchdog: no collector.
+        before = set(threading.enumerate())
+        with small_fleet(workers=2) as fl:
+            fl.submit(np.zeros((2, 8), dtype=np.float32)).result(timeout=30)
+            names = sorted(
+                thread.name for thread in threading.enumerate()
+                if thread not in before
+            )
+        assert names == [
+            "repro-fleet-watchdog", "repro-sort-service", "repro-sort-service",
+        ]
 
 
 class TestSlabPool:
@@ -268,6 +331,25 @@ class TestSlabPool:
             assert stats.slabs_retired == 0
             assert stats.slab_pool_bytes == stats.slabs_created * (1 << 16)
             assert stats.as_dict()["slabs_created"] == stats.slabs_created
+        assert fl.stats().slab_pool_bytes == 0
+
+    def test_pool_converges_across_byte_classes(self):
+        # Five byte classes, cycled largest first on one worker: a batch
+        # takes the smallest free slab that fits, so the pool settles at
+        # the slab in flight, the one held for demux and a spare instead
+        # of one slab per class.
+        sizes = [256, 128, 64, 32, 16]  # rows of 1000 float64: 5 classes
+        with small_fleet(workers=1) as fl:
+            for _ in range(4):
+                for rows in sizes:
+                    batch = RNG.uniform(0, 1, size=(rows, 1000))
+                    np.testing.assert_array_equal(
+                        fl.submit(batch).result(timeout=30),
+                        np.sort(batch, axis=1),
+                    )
+            stats = fl.stats()
+        assert stats.slabs_created <= 3
+        assert stats.slabs_retired == 0
         assert fl.stats().slab_pool_bytes == 0
 
 

@@ -49,15 +49,21 @@ def lingering_fleet(**kwargs):
 
 def fleet_slabs(fleet, worker_id=None):
     """Names of every slab the fleet holds for ``worker_id`` (default:
-    all workers): pooled, in flight, or held for a service's demux."""
+    all workers): pooled, staged, in flight, or held for a service's
+    demux."""
+    def mine(owner):
+        return worker_id is None or owner == worker_id
+
     with fleet._lock:
-        batches = list(fleet._inflight.values()) + list(fleet._held.values())
-        names = {
-            batch.slab.name for batch in batches
-            if worker_id is None or batch.worker_id == worker_id
+        batches = list(fleet._held.values())
+        batches += [batch for batch, _ in fleet._staged.values()]
+        names = {batch.slab.name for batch in batches if mine(batch.worker_id)}
+        names |= {
+            handle.inflight.name for handle in fleet._handles.values()
+            if handle.inflight is not None and mine(handle.worker_id)
         }
         for owner, pool in fleet._free_slabs.items():
-            if worker_id is None or owner == worker_id:
+            if pool is not None and mine(owner):
                 names |= {slab.name for free in pool.values() for slab in free}
         return names
 
@@ -67,9 +73,13 @@ def batch_in_flight(fleet):
     deadline = time.monotonic() + 10.0
     while time.monotonic() < deadline:
         with fleet._lock:
-            batches = list(fleet._inflight.values())
-        if batches:
-            return batches[0].worker_id, batches[0].slab.name
+            busy = [
+                (handle.worker_id, handle.inflight.name)
+                for handle in fleet._handles.values()
+                if handle.inflight is not None
+            ]
+        if busy:
+            return busy[0]
         time.sleep(0.005)
     raise AssertionError("no batch was ever in flight")
 
@@ -81,7 +91,7 @@ class SlowSorter:
     def __init__(self, delay_s):
         self.delay_s = delay_s
 
-    def sort(self, batch):
+    def sort(self, batch, *, inplace=False):
         time.sleep(self.delay_s)
         return types.SimpleNamespace(batch=np.sort(batch, axis=1))
 

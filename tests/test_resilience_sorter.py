@@ -168,6 +168,54 @@ class TestCorruptionAndQuarantine:
         )
 
 
+class TestInplace:
+    def test_healed_result_lands_in_the_batch(self):
+        batch = uniform_arrays(32, 100, seed=8)
+        expected = np.sort(batch, axis=1)
+        # Corruption and kernel faults force retries and fallbacks; the
+        # healed rows still end up in the caller's storage.
+        plan = FaultPlan(13, corruption_rate=0.5, kernel_fault_rate=0.3)
+        result = make_sorter(plan).sort(batch, inplace=True)
+        assert result.batch is batch
+        assert result.ok
+        assert result.stats.retries > 0 and result.stats.corrupt_rows_detected
+        assert np.array_equal(batch, expected)
+
+    def test_quarantined_rows_keep_their_input_bytes(self):
+        batch = uniform_arrays(6, 50, seed=10)
+        batch[2, 7] = np.nan
+        batch[5, 0] = np.nan
+        pristine = batch.copy()
+        result = make_sorter().sort(batch, inplace=True)
+        assert result.batch is batch
+        assert result.quarantined.tolist() == [2, 5]
+        assert batch[[2, 5]].tobytes() == pristine[[2, 5]].tobytes()
+        clean = [0, 1, 3, 4]
+        assert np.array_equal(batch[clean], np.sort(pristine[clean], axis=1))
+
+    def test_persistent_corruption_leaves_quarantined_rows_untouched(self):
+        batch = uniform_arrays(4, 64, seed=9)
+        pristine = batch.copy()
+        result = make_sorter(FaultPlan(5, corruption_rate=1.0)).sort(
+            batch, inplace=True
+        )
+        assert result.quarantined.size
+        for row in result.quarantined:
+            assert batch[row].tobytes() == pristine[row].tobytes()
+
+    def test_default_leaves_the_batch_untouched(self):
+        batch = uniform_arrays(12, 100, seed=1)
+        pristine = batch.copy()
+        result = make_sorter().sort(batch)
+        assert result.batch is not batch
+        assert batch.tobytes() == pristine.tobytes()
+        assert np.array_equal(result.batch, np.sort(pristine, axis=1))
+
+    def test_empty_batch_is_returned_as_is(self):
+        batch = np.empty((0, 10), dtype=np.float32)
+        assert make_sorter().sort(batch, inplace=True).batch is batch
+
+
 class TestDegeneracyResampling:
     def test_duplicate_heavy_data_triggers_resample(self):
         rng = np.random.default_rng(11)

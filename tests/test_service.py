@@ -257,11 +257,11 @@ class TestSortService:
         calls = []
 
         class SpyBackend:
-            def sort(self, batch):
+            def sort(self, batch, *, inplace=False):
                 calls.append(batch.shape)
                 from repro.core import GpuArraySort
 
-                return GpuArraySort(SortConfig()).sort(batch)
+                return GpuArraySort(SortConfig()).sort(batch, inplace=inplace)
 
         with SortService(backend=SpyBackend(), batch_target_rows=8,
                          linger_ms=50.0) as service:
@@ -277,11 +277,11 @@ class TestSortService:
         blocker = threading.Event()
 
         class SlowBackend:
-            def sort(self, batch):
+            def sort(self, batch, *, inplace=False):
                 blocker.wait(30)
                 from repro.core import GpuArraySort
 
-                return GpuArraySort(SortConfig()).sort(batch)
+                return GpuArraySort(SortConfig()).sort(batch, inplace=inplace)
 
         service = SortService(backend=SlowBackend(), batch_target_rows=2,
                               max_batch_rows=2, max_queue_rows=4,
@@ -311,12 +311,12 @@ class TestSortService:
         blocker = threading.Event()
 
         class SlowBackend:
-            def sort(self, batch):
+            def sort(self, batch, *, inplace=False):
                 started.set()
                 blocker.wait(30)
                 from repro.core import GpuArraySort
 
-                return GpuArraySort(SortConfig()).sort(batch)
+                return GpuArraySort(SortConfig()).sort(batch, inplace=inplace)
 
         service = SortService(backend=SlowBackend(), batch_target_rows=1,
                               max_batch_rows=1, linger_ms=0.0)
@@ -341,11 +341,11 @@ class TestSortService:
 
     def test_post_sort_deadline_miss_discards_result(self):
         class GlacialBackend:
-            def sort(self, batch):
+            def sort(self, batch, *, inplace=False):
                 time.sleep(0.05)
                 from repro.core import GpuArraySort
 
-                return GpuArraySort(SortConfig()).sort(batch)
+                return GpuArraySort(SortConfig()).sort(batch, inplace=inplace)
 
         with SortService(backend=GlacialBackend(), batch_target_rows=1,
                          linger_ms=0.0) as service:
@@ -426,11 +426,11 @@ class TestSortService:
         blocker = threading.Event()
 
         class SlowBackend:
-            def sort(self, batch):
+            def sort(self, batch, *, inplace=False):
                 blocker.wait(30)
                 from repro.core import GpuArraySort
 
-                return GpuArraySort(SortConfig()).sort(batch)
+                return GpuArraySort(SortConfig()).sort(batch, inplace=inplace)
 
         service = SortService(backend=SlowBackend(), batch_target_rows=1,
                               max_batch_rows=1, linger_ms=0.0)
@@ -554,11 +554,11 @@ class TestBatcherWakeups:
         dispatched = []
 
         class SpyBackend:
-            def sort(self, batch):
+            def sort(self, batch, *, inplace=False):
                 dispatched.append((batch.shape[1], time.monotonic()))
                 from repro.core import GpuArraySort
 
-                return GpuArraySort(SortConfig()).sort(batch)
+                return GpuArraySort(SortConfig()).sort(batch, inplace=inplace)
 
         with SortService(backend=SpyBackend(), batch_target_rows=1024,
                          linger_ms=600.0) as service:

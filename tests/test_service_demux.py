@@ -98,11 +98,11 @@ def test_demux_correct_under_mid_stream_shedding(rng):
         def __init__(self):
             self.inner = GpuArraySort(SortConfig())
 
-        def sort(self, batch):
+        def sort(self, batch, *, inplace=False):
             import time
 
             time.sleep(0.005)
-            return self.inner.sort(batch)
+            return self.inner.sort(batch, inplace=inplace)
 
     with SortService(backend=Throttled(), batch_target_rows=8,
                      max_batch_rows=8, linger_ms=1.0,
