@@ -4,7 +4,10 @@ Each driver (``bench_{hotpath,service,chaos,fleet,capacity}.py``) holds
 its grids, its run code, its schema as data and its gates as data; this
 module owns what they share:
 
-* :func:`host_block` — the host fields every committed artifact records;
+* :func:`host_block` — the host fields every committed artifact records,
+  with the affinity CPU count and a same-run two-process parallelism
+  probe (:func:`parallelism_probe`), so a multi-core claim can be read
+  against the cores the run really had;
 * :func:`check_schema` — one walker over a nested spec of required keys
   and types, reporting each error by path
   (``results[3].batched.latency_ms.p99 missing or non-numeric``);
@@ -33,7 +36,9 @@ import argparse
 import json
 import os
 import platform
+import subprocess
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
@@ -57,13 +62,82 @@ class ByKind:
     specs: Mapping[str, Any]
 
 
+#: The probe's job: a fixed pure-Python loop, started at a shared
+#: ``time.monotonic()`` instant (one system-wide clock on Linux) so that
+#: concurrent copies overlap; prints its own elapsed time.
+_PROBE_JOB = (
+    "import sys, time\n"
+    "time.sleep(max(0.0, float(sys.argv[1]) - time.monotonic()))\n"
+    "t0 = time.perf_counter()\n"
+    "x = 0\n"
+    "for i in range(int(sys.argv[2])):\n"
+    "    x += i * i\n"
+    "print(time.perf_counter() - t0)\n"
+)
+
+
+#: Iterations of the probe's loop: about 0.15 s alone on a 2-vCPU VM.
+_PROBE_LOOPS = 1_000_000
+
+
+def parallelism_probe() -> Dict[str, Any]:
+    """Same-run parallelism probe: one CPU-bound job timed alone, then two
+    copies timed together.  ``parallelism`` is ``2 × solo / slowest`` —
+    about 2 when two cores are free, about 1 on one core or on a host
+    busy elsewhere."""
+
+    def timed(count: int) -> List[float]:
+        start = repr(time.monotonic() + 0.1)  # past every child's start-up
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-S", "-c", _PROBE_JOB, start,
+                 str(_PROBE_LOOPS)],
+                stdout=subprocess.PIPE, text=True,
+            )
+            for _ in range(count)
+        ]
+        return [float(child.communicate()[0]) for child in children]
+
+    solo = timed(1)[0]
+    together = max(timed(2))
+    return {
+        "processes": 2,
+        "solo_s": solo,
+        "together_s": together,
+        "parallelism": 2 * solo / together,
+    }
+
+
 def host_block() -> Dict[str, Any]:
+    try:
+        affinity = len(os.sched_getaffinity(0))
+    except AttributeError:  # not Linux
+        affinity = os.cpu_count() or 1
     return {
         "platform": platform.platform(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
+        "cpu_affinity": affinity,
+        "parallelism": parallelism_probe(),
     }
+
+
+#: The host block's schema; artifacts written before the affinity count
+#: and the parallelism probe were recorded lack those two fields.
+HOST_SPEC = {
+    "platform": str,
+    "python": str,
+    "numpy": str,
+    "cpu_count": int,
+    "cpu_affinity": Opt(int),
+    "parallelism": Opt({
+        "processes": int,
+        "solo_s": NUM,
+        "together_s": NUM,
+        "parallelism": NUM,
+    }),
+}
 
 
 def _walk(value: Any, spec: Any, path: str) -> List[str]:
@@ -120,7 +194,7 @@ def check_schema(report: dict, spec: Mapping[str, Any],
     Each gate's block is optional; when present it must carry a boolean
     ``passed``.
     """
-    full = dict(spec)
+    full = {"host": Opt(HOST_SPEC), **spec}
     for gate in gates:
         full[gate.block] = Opt({"passed": bool})
     return _walk(report, full, "")

@@ -14,18 +14,23 @@ Two sinks:
   (often an ``np.memmap``) chunk-by-chunk with bounded working memory;
   no disk state, not resumable.
 * :meth:`CapacitySorter.run` — spill sink: each chunk is read from the
-  durable source into one reusable buffer, sorted there in place, and
-  committed to a :class:`~repro.outofcore.spill.SpillStore` (one spill
-  file, one append-only journal), so a ``SIGKILL`` mid-run loses at
-  most the chunk in flight.  ``resume=True`` replays the journal,
-  skips every committed chunk, and continues from the journal's ingest
-  cursor — no committed chunk is ever re-emitted.
+  durable source into one of two buffers, sorted there in place,
+  checksummed, and committed to a
+  :class:`~repro.outofcore.spill.SpillStore` (one spill file, one
+  append-only journal) by a commit thread, while the calling thread
+  reads, sorts and checksums the next chunk into the other buffer — the
+  paper's §9 two-buffer overlap of compute with transfer, on the host.
+  At most one commit is in flight, and a buffer is refilled only after
+  its commit has returned, so a ``SIGKILL`` mid-run loses at most the
+  chunk being committed and the one being sorted.  ``resume=True``
+  replays the journal, skips every committed chunk, and continues from
+  the journal's ingest cursor — no committed chunk is ever re-emitted.
 
 Degradation ladder — a multi-hour run must not die to ``MemoryError``:
 
 1. **shrink** — on allocation failure the chunk row count halves and
-   the failed chunk's rows are re-cut from the committed frontier (on
-   the spill sink, re-read from the durable input);
+   the failed chunk's rows are re-cut from the loop's cursor (on the
+   spill sink, re-read from the durable input into the free buffer);
 2. **serial fallback** — at the one-row floor the driver abandons the
    engine entirely and sorts small row blocks with in-place
    ``ndarray.sort``, the minimum-footprint path that still makes
@@ -41,13 +46,14 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 from ..core.config import DEFAULT_CONFIG, SortConfig
 from .budget import BudgetPlan, parse_memory_size, plan_budget
-from .spill import BatchFile, SpillStore
+from .spill import BatchFile, SpillStore, chunk_crc32
 
 __all__ = ["CapacityResult", "CapacitySorter", "CapacityStats"]
 
@@ -240,27 +246,29 @@ class CapacitySorter:
                 np.copyto(window, batch[cursor : cursor + take])
             return window
 
-        self._sort_chunks(plan.chunk_rows, 0, 0, total, load, descending)
+        chunks = self._sorted_chunks(plan.chunk_rows, 0, total, load, descending)
+        for index, (cursor, window) in enumerate(chunks):
+            self._chunk_done(index, window.shape[0], cursor + window.shape[0],
+                             total)
         stats.wall_seconds = time.perf_counter() - t0
         return CapacityResult(plan=plan, stats=stats, batch=out)
 
-    def _sort_chunks(
+    def _sorted_chunks(
         self,
         chunk_rows: int,
-        index: int,
         cursor: int,
         total: int,
         load: Callable[[int, int], np.ndarray],
         descending: bool = False,
-        commit: Optional[Callable[[int, int, np.ndarray], None]] = None,
-    ) -> None:
+    ) -> Iterator[Tuple[int, np.ndarray]]:
         """The chunk loop both sinks share.
 
         ``load(cursor, take)`` returns the writable window holding rows
-        ``[cursor, cursor + take)``; it is sorted in place and handed to
-        ``commit(index, cursor, window)``.  A ``MemoryError`` halves the
-        chunk and re-loads from the same cursor — the committed
-        frontier; at the one-row floor the serial fallback takes over.
+        ``[cursor, cursor + take)``; it is sorted in place and yielded as
+        ``(cursor, window)``, and the loop's cursor moves past it when
+        the next chunk is asked for.  A ``MemoryError`` halves the chunk
+        and re-loads from the loop's cursor; at the one-row floor the
+        serial fallback takes over.
         """
         stats = self.stats
         sorter: Optional[object] = self._make_sorter(chunk_rows)
@@ -276,13 +284,8 @@ class CapacitySorter:
                 except MemoryError:
                     chunk_rows, sorter = self._shrink(chunk_rows)
                     continue  # re-cut this region at the smaller size
-            if commit is not None:
-                commit(index, cursor, window)
-            stats.chunks_committed += 1
-            stats.rows_sorted += take
+            yield cursor, window
             cursor += take
-            self._report_progress(index, take, cursor, total)
-            index += 1
 
     def _sort_chunk_inplace(self, sorter: object, window: np.ndarray,
                             descending: bool) -> None:
@@ -315,8 +318,11 @@ class CapacitySorter:
             if descending:
                 block[:] = block[:, ::-1]
 
-    def _report_progress(self, index: int, rows: int, rows_done: int,
-                         total_rows: int) -> None:
+    def _chunk_done(self, index: int, rows: int, rows_done: int,
+                    total_rows: int) -> None:
+        """Count one committed chunk and report it to ``progress``."""
+        self.stats.chunks_committed += 1
+        self.stats.rows_sorted += rows
         if self.progress is not None:
             self.progress({
                 "index": index,
@@ -338,14 +344,15 @@ class CapacitySorter:
 
         ``source`` is an addressable batch or a
         :class:`~repro.outofcore.spill.BatchFile` (windowed file reads —
-        the true out-of-core input path).  Each chunk is read into one
-        reusable buffer, sorted there in place, and committed to a
-        :class:`~repro.outofcore.spill.SpillStore`.  With
-        ``resume=True`` a directory holding a previous run's journal is
-        adopted: committed chunks are skipped (counted as
-        ``chunks_resumed``), the journal's cursor is where ingestion
-        resumes, and the run continues to completion.  Ascending order
-        only (the spill format records no order flag).
+        the true out-of-core input path).  Each chunk is read into one of
+        two buffers, sorted there in place, checksummed, and committed to
+        a :class:`~repro.outofcore.spill.SpillStore` on a commit thread
+        while the next chunk is read, sorted and checksummed (see
+        :meth:`_spill_chunks`).  With ``resume=True`` a directory holding
+        a previous run's journal is adopted: committed chunks are skipped
+        (counted as ``chunks_resumed``), the journal's cursor is where
+        ingestion resumes, and the run continues to completion.
+        Ascending order only (the spill format records no order flag).
         """
         total, row_len, dtype = _source_dims(source)
         stats = self.stats = CapacityStats()
@@ -361,26 +368,14 @@ class CapacitySorter:
                 "chunk_rows": plan.chunk_rows,
             },
         )
-
-        def commit(index: int, cursor: int, window: np.ndarray) -> None:
-            record = store.commit_chunk(index, cursor, window)
-            stats.spill_bytes_written += record.nbytes
-
         try:
             committed = store.committed
             stats.chunks_resumed = len(committed)
             # A finished run resumed again has nothing left to do.
             if not (store.complete and store.rows_committed >= total):
-                read_buf = np.empty((plan.chunk_rows, row_len), dtype=dtype)
-                self._sort_chunks(
-                    plan.chunk_rows,
-                    committed[-1].index + 1 if committed else 0,
-                    store.cursor,
-                    total,
-                    lambda cursor, take: _read_rows(
-                        source, cursor, cursor + take, read_buf
-                    ),
-                    commit=commit,
+                self._spill_chunks(
+                    source, store, plan.chunk_rows,
+                    committed[-1].index + 1 if committed else 0, total,
                 )
                 store.mark_complete()
         finally:
@@ -388,6 +383,56 @@ class CapacitySorter:
         stats.chunks_recommitted = store.recommits
         stats.wall_seconds = time.perf_counter() - t0
         return CapacityResult(plan=plan, stats=stats, store=store)
+
+    def _spill_chunks(
+        self,
+        source: Union[np.ndarray, BatchFile],
+        store: SpillStore,
+        chunk_rows: int,
+        first_index: int,
+        total: int,
+    ) -> None:
+        """Sort chunks from ``store.cursor`` on into ``store``, one commit
+        in flight.
+
+        While the commit thread runs :meth:`SpillStore.commit_chunk` for
+        chunk k (write, sync, append, sync) from one buffer, this thread
+        reads chunk k+1 into the other, sorts it and takes its CRC32.
+        Then it waits for commit k — its error is raised here unchanged
+        — reports k's progress, and hands k+1 over.  A buffer is refilled
+        only after its commit has returned.  On any exit the pool waits
+        for a commit still in flight before the store is closed.
+        """
+        buffers = [
+            np.empty((chunk_rows, store.array_size), dtype=store.dtype)
+            for _ in range(2)
+        ]
+        free = 0  # the buffer no commit holds; loads always fill it
+
+        def load(cursor: int, take: int) -> np.ndarray:
+            return _read_rows(source, cursor, cursor + take, buffers[free])
+
+        pending: Optional[Future] = None
+        with ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-spill-commit"
+        ) as committer:
+            chunks = self._sorted_chunks(chunk_rows, store.cursor, total, load)
+            for index, (cursor, window) in enumerate(chunks, first_index):
+                crc = chunk_crc32(window)
+                if pending is not None:
+                    self._landed(pending, total)
+                pending = committer.submit(
+                    store.commit_chunk, index, cursor, window, crc
+                )
+                free ^= 1
+            if pending is not None:
+                self._landed(pending, total)
+
+    def _landed(self, commit: Future, total: int) -> None:
+        """Wait for one chunk's commit, then count and report it."""
+        record = commit.result()
+        self.stats.spill_bytes_written += record.nbytes
+        self._chunk_done(record.index, record.rows, record.cursor, total)
 
 
 def _source_dims(

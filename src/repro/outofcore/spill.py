@@ -17,6 +17,14 @@ files:
   commit costs two syncs, and a crash leaves either no record (the
   chunk is re-sorted) or a record over durable bytes (it is skipped).
 
+:meth:`SpillStore.commit_chunk` does one chunk's write, sync, append
+and sync in that order, in one call, and records the CRC32 its caller
+took (:func:`chunk_crc32`).  The capacity driver runs it on a commit
+thread while it reads, sorts and checksums the next chunk into a second
+buffer; at most one commit is in flight, and the store's journal state
+is touched by one commit at a time.  Under ``REPRO_SANITIZE=1`` the
+CRC is re-checked against the bytes written.
+
 Resume replays the journal up to the first torn or CRC-bad record
 (later records are never trusted past a gap); the last record for a
 re-committed index wins.  Reads go through one :func:`numpy.memmap`
@@ -33,8 +41,8 @@ way; only ``reclaim=True`` clears it.
 
 :class:`BatchFile` is the matching *input* abstraction: a file-backed
 ``(rows, row_len)`` batch read in bounded windows (``readinto`` a
-reusable buffer), so neither the input nor the output ever charges the
-memory budget for more than one chunk.
+caller's buffer), so a run holds only its chunk buffers of input — two
+on the spill sink — and one mapped chunk of output at a time.
 """
 
 from __future__ import annotations
@@ -62,6 +70,7 @@ __all__ = [
     "SpillDirectoryError",
     "SpillError",
     "SpillStore",
+    "chunk_crc32",
     "read_journal",
     "write_batch_file",
 ]
@@ -89,8 +98,9 @@ class SpillCorruptionError(SpillError):
     """Committed chunk bytes do not match their journal record."""
 
 
-def _crc32_array(array: np.ndarray) -> int:
-    """CRC32 over an array's bytes, computed in bounded blocks."""
+def chunk_crc32(array: np.ndarray) -> int:
+    """CRC32 over an array's bytes, computed in bounded blocks — the
+    checksum :meth:`SpillStore.commit_chunk` records for a chunk."""
     view = memoryview(np.ascontiguousarray(array)).cast("B")
     crc = 0
     for start in range(0, len(view), _CRC_BLOCK):
@@ -413,17 +423,25 @@ class SpillStore:
 
     # -- chunk I/O --------------------------------------------------------
     def commit_chunk(
-        self, index: int, start_row: int, rows: np.ndarray
+        self, index: int, start_row: int, rows: np.ndarray, crc32: int
     ) -> ChunkRecord:
         """Durably write one sorted chunk, then journal it.
 
-        The bytes go to their fixed offset in the spill file and are
-        ``fdatasync``-ed before the record is appended and synced: a
-        crash at any point leaves either no record (chunk absent — it
-        will be re-sorted) or a record over durable bytes (chunk
-        committed — it will be skipped).  Committing an index that
-        already exists replaces it (the at-least-once retry path) and
-        ticks :attr:`recommits`.
+        ``crc32`` is the caller's :func:`chunk_crc32` of ``rows`` and is
+        recorded as given, so the caller can take it while an earlier
+        chunk's commit is still syncing.  The bytes go to their fixed
+        offset in the spill file and are ``fdatasync``-ed before the
+        record is appended and synced: a crash at any point leaves either
+        no record (chunk absent — it will be re-sorted) or a record over
+        durable bytes (chunk committed — it will be skipped).
+        Committing an index that already exists replaces it (the
+        at-least-once retry path) and ticks :attr:`recommits`.
+
+        Under ``REPRO_SANITIZE=1`` the CRC is recomputed over the bytes
+        read back from the spill file; a mismatch — the caller changed
+        ``rows`` after taking its CRC, e.g. refilled a buffer whose
+        commit had not returned — raises :class:`SpillCorruptionError`
+        before any record is appended.
         """
         rows = np.ascontiguousarray(rows, dtype=self.dtype)
         if rows.ndim != 2 or rows.shape[1] != self.array_size:
@@ -438,12 +456,14 @@ class SpillStore:
                 self._spill_fd, view[written:], offset + written
             )
         os.fdatasync(self._spill_fd)
+        if _sanitizer.enabled():
+            self._check_written(index, offset, len(view), crc32)
         record = ChunkRecord(
             index=int(index),
             start_row=int(start_row),
             rows=int(rows.shape[0]),
             nbytes=int(rows.nbytes),
-            crc32=_crc32_array(rows),
+            crc32=int(crc32),
             cursor=int(start_row) + int(rows.shape[0]),
         )
         if record.index in self._records:
@@ -455,6 +475,22 @@ class SpillStore:
         self._append({"kind": "chunk", **record.as_dict()})
         self._records[record.index] = record
         return record
+
+    def _check_written(self, index: int, offset: int, nbytes: int,
+                       crc32: int) -> None:
+        """Checked build: the CRC of the bytes at ``offset`` must be the
+        one the caller passed (read back in bounded blocks)."""
+        crc = 0
+        for start in range(0, nbytes, _CRC_BLOCK):
+            block = os.pread(self._spill_fd, min(_CRC_BLOCK, nbytes - start),
+                             offset + start)
+            crc = zlib.crc32(block, crc)
+        if crc & 0xFFFFFFFF != int(crc32):
+            raise SpillCorruptionError(
+                f"chunk {index}: the bytes written have CRC "
+                f"{crc & 0xFFFFFFFF:#010x}, the caller passed {int(crc32):#010x} "
+                "(its buffer changed before the commit returned)"
+            )
 
     def open_chunk(self, record: ChunkRecord, *, verify: bool = False) -> np.ndarray:
         """Read-only :func:`numpy.memmap` window over one committed chunk."""
@@ -472,7 +508,7 @@ class SpillStore:
             self._spill_path, dtype=self.dtype, mode="r", offset=offset,
             shape=(record.rows, self.array_size),
         )
-        if verify and _crc32_array(chunk) != record.crc32:
+        if verify and chunk_crc32(chunk) != record.crc32:
             raise SpillCorruptionError(
                 f"chunk {record.index}: CRC mismatch (spill file corrupted)"
             )

@@ -545,7 +545,9 @@ class SortService:
         while True:
             with self._wakeup:
                 self._inflight = False
-                self._wakeup.notify_all()
+                if self._flushing:
+                    # Only flush() waits for the queue and in-flight flag.
+                    self._wakeup.notify_all()
                 now = self._clock()
                 shed = self._batcher.shed_expired(now)
                 for request in shed:

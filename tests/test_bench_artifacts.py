@@ -107,6 +107,25 @@ class TestCheckSchema:
         report["gate"] = {"passed": "yes"}
         assert _check(report) == ["gate.passed missing or not bool"]
 
+    def test_host_block_records_affinity_and_parallelism(self):
+        report = _toy()
+        report["host"] = host = _artifact.host_block()
+        assert _check(report) == []
+        assert 1 <= host["cpu_affinity"] <= host["cpu_count"]
+        probe = host["parallelism"]
+        assert probe["processes"] == 2
+        assert probe["parallelism"] == pytest.approx(
+            2 * probe["solo_s"] / probe["together_s"]
+        )
+        # Both fields are optional (older artifacts lack them), but a
+        # probe that is present must be whole.
+        del host["cpu_affinity"]
+        assert _check(report) == []
+        del probe["together_s"]
+        assert _check(report) == [
+            "host.parallelism.together_s missing or non-numeric"
+        ]
+
 
 class TestApplyGates:
     def test_block_holds_thresholds_derived_fields_and_verdict(self):

@@ -1,6 +1,9 @@
 """CapacitySorter: array sink, spill sink, degradation, facade wiring."""
 
+import errno
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +24,17 @@ def make_batch(rows, n, dtype=np.float64, seed=0):
     if np.issubdtype(np.dtype(dtype), np.integer):
         return rng.integers(-1000, 1000, size=(rows, n)).astype(dtype)
     return rng.random((rows, n)).astype(dtype)
+
+
+def commit_threads():
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith("repro-spill-commit")]
+
+
+def is_spill_fd(fd, directory):
+    """Does ``fd`` refer to the spill file (a chunk's data sync)?"""
+    return os.path.samestat(os.fstat(fd),
+                            os.stat(directory / spill._SPILL_NAME))
 
 
 class _OomOnce:
@@ -180,6 +194,7 @@ class TestSpillSink:
                                progress=trip)
         with pytest.raises(Interrupt):
             first.run(batch, spill_dir=tmp_path)
+        assert not commit_threads()
         survivor = SpillStore(tmp_path, array_size=8, dtype=np.float64,
                               resume=True)
         pre_indices = {r.index for r in survivor.committed}
@@ -193,6 +208,99 @@ class TestSpillSink:
         assert all(i > max(pre_indices) for i in new_indices)
         np.testing.assert_array_equal(result.gather(),
                                       np.sort(batch, axis=1))
+
+    def test_next_chunk_sorts_while_a_data_sync_is_held(self, tmp_path,
+                                                        monkeypatch):
+        batch = make_batch(120, 12, seed=27)  # 4 chunks of 32 rows
+        held = 1  # chunk whose data sync is held
+        next_sort = threading.Event()
+        sorted_while_held = []
+        sorts = []
+        data_syncs = []
+        real_fdatasync = os.fdatasync
+
+        class Recording(_OomOnce):
+            def sort(self, window):
+                sorts.append(window.shape[0])
+                if len(sorts) == held + 2:
+                    next_sort.set()
+                return super().sort(window)
+
+        def fdatasync(fd):
+            if is_spill_fd(fd, tmp_path):
+                data_syncs.append(fd)
+                if len(data_syncs) == held + 1:
+                    # Released by chunk held+1's sort; the timeout only
+                    # ends a run that never overlaps.
+                    sorted_while_held.append(next_sort.wait(timeout=10))
+            real_fdatasync(fd)
+
+        monkeypatch.setattr(os, "fdatasync", fdatasync)
+        sorter = CapacitySorter("1M", max_chunk_rows=32,
+                                sorter_factory=lambda rows: Recording(0))
+        result = sorter.run(batch, spill_dir=tmp_path)
+        assert sorted_while_held == [True]
+        assert len(data_syncs) == 4
+        assert result.gather().tobytes() == np.sort(batch, axis=1).tobytes()
+
+    def test_progress_follows_durable_commits_under_fast_switching(
+            self, tmp_path):
+        batch = make_batch(200, 8, seed=29)  # 50 chunks of 4 rows
+        reports = []
+
+        def check(info):
+            durable = {r.index for r in spill.read_journal(tmp_path)}
+            reports.append((info["index"], info["index"] in durable,
+                            threading.current_thread() is threading.main_thread()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = CapacitySorter("1M", config=CONFIG, max_chunk_rows=4,
+                                    progress=check).run(batch,
+                                                        spill_dir=tmp_path)
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports == [(i, True, True) for i in range(50)]
+        records = spill.read_journal(tmp_path)
+        assert [(r.index, r.start_row) for r in records] == [
+            (i, 4 * i) for i in range(50)
+        ]
+        assert result.gather().tobytes() == np.sort(batch, axis=1).tobytes()
+
+    def test_data_sync_error_surfaces_and_resume_completes(self, tmp_path,
+                                                           monkeypatch):
+        batch = make_batch(120, 12, seed=28)  # 4 chunks of 32 rows
+        failing = 2
+        injected = OSError(errno.EIO, "injected EIO")
+        data_syncs = []
+        real_fdatasync = os.fdatasync
+
+        def fdatasync(fd):
+            if is_spill_fd(fd, tmp_path):
+                data_syncs.append(fd)
+                if len(data_syncs) == failing + 1:
+                    raise injected
+            real_fdatasync(fd)
+
+        monkeypatch.setattr(os, "fdatasync", fdatasync)
+        with pytest.raises(OSError) as caught:
+            CapacitySorter("1M", config=CONFIG, max_chunk_rows=32).run(
+                batch, spill_dir=tmp_path
+            )
+        assert caught.value is injected
+        assert caught.value.errno == errno.EIO
+        assert not commit_threads()
+        assert [r.index for r in spill.read_journal(tmp_path)] == [0, 1]
+
+        monkeypatch.setattr(os, "fdatasync", real_fdatasync)
+        result = CapacitySorter("1M", config=CONFIG, max_chunk_rows=32).run(
+            batch, spill_dir=tmp_path, resume=True
+        )
+        assert result.stats.chunks_resumed == failing
+        assert result.stats.chunks_committed == 4 - failing
+        assert result.store.complete
+        assert result.gather().tobytes() == np.sort(batch, axis=1).tobytes()
 
     def test_streaming_oom_degrades_and_completes(self, tmp_path):
         batch = make_batch(80, 8, seed=24)

@@ -1,5 +1,7 @@
 """Spill store: one spill file + append-only journal, hygiene, replay."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,22 @@ pytestmark = pytest.mark.capacity
 
 def make_chunk(rng, rows, n, dtype=np.float64):
     return rng.random((rows, n)).astype(dtype)
+
+
+def commit(store, index, start_row, rows):
+    """``commit_chunk`` with the CRC its production caller passes."""
+    return store.commit_chunk(index, start_row, rows, spill.chunk_crc32(rows))
+
+
+@contextlib.contextmanager
+def sanitizer(on):
+    """Run the block with the checked build armed (or disarmed)."""
+    was_enabled = rt.enabled()
+    (rt.enable if on else rt.disable)()
+    try:
+        yield
+    finally:
+        (rt.enable if was_enabled else rt.disable)()
 
 
 def journal_path(directory):
@@ -48,7 +66,7 @@ class TestCommitAndRead:
         rng = np.random.default_rng(1)
         store = SpillStore(tmp_path, array_size=16, dtype=np.float64)
         data = make_chunk(rng, 8, 16)
-        record = store.commit_chunk(0, 0, data)
+        record = commit(store, 0, 0, data)
         assert record.rows == 8
         assert record.nbytes == data.nbytes
         assert record.cursor == 8
@@ -62,8 +80,8 @@ class TestCommitAndRead:
         store = SpillStore(tmp_path, array_size=8, dtype=np.float64)
         # Commit out of order; iteration must come back by start_row.
         later, first = make_chunk(rng, 5, 8), make_chunk(rng, 10, 8)
-        store.commit_chunk(1, 10, later)
-        store.commit_chunk(0, 0, first)
+        commit(store, 1, 10, later)
+        commit(store, 0, 0, first)
         chunks = list(store.iter_chunks())
         assert [start for start, _ in chunks] == [0, 10]
         np.testing.assert_array_equal(np.asarray(chunks[0][1]), first)
@@ -74,7 +92,7 @@ class TestCommitAndRead:
         store = SpillStore(tmp_path, array_size=8, dtype=np.float64,
                            meta={"total_rows": 30})
         for index in range(3):
-            store.commit_chunk(index, 10 * index, make_chunk(rng, 10, 8))
+            commit(store, index, 10 * index, make_chunk(rng, 10, 8))
         for start, chunk in store.iter_chunks():
             window = chunk
             while not isinstance(window, np.memmap):  # sanitizer wrapper
@@ -85,9 +103,9 @@ class TestCommitAndRead:
     def test_recommit_replaces_and_counts(self, tmp_path):
         rng = np.random.default_rng(3)
         store = SpillStore(tmp_path, array_size=8, dtype=np.float64)
-        store.commit_chunk(0, 0, make_chunk(rng, 4, 8))
+        commit(store, 0, 0, make_chunk(rng, 4, 8))
         newer = make_chunk(rng, 4, 8)
-        record = store.commit_chunk(0, 0, newer)
+        record = commit(store, 0, 0, newer)
         assert store.recommits == 1
         assert store.rows_committed == 4
         np.testing.assert_array_equal(
@@ -101,10 +119,10 @@ class TestCommitAndRead:
         rt.reset()
         try:
             store = SpillStore(tmp_path, array_size=8, dtype=np.float64)
-            record = store.commit_chunk(0, 0, make_chunk(rng, 4, 8))
+            record = commit(store, 0, 0, make_chunk(rng, 4, 8))
             window = store.open_chunk(record)
             window[0]  # fresh window: clean
-            store.commit_chunk(0, 0, make_chunk(rng, 4, 8))
+            commit(store, 0, 0, make_chunk(rng, 4, 8))
             assert store.recommits == 1
             with pytest.raises(rt.StaleViewError):
                 window[0]
@@ -113,16 +131,38 @@ class TestCommitAndRead:
             if not was_enabled:
                 rt.disable()
 
+    def test_records_the_crc_it_is_given(self, tmp_path):
+        rng = np.random.default_rng(12)
+        store = SpillStore(tmp_path, array_size=8, dtype=np.float64)
+        data = make_chunk(rng, 4, 8)
+        wrong = spill.chunk_crc32(data) ^ 1
+        with sanitizer(False):
+            record = store.commit_chunk(0, 0, data, wrong)
+        assert record.crc32 == wrong
+        assert read_journal(tmp_path) == [record]
+        assert not store.verify_chunk(record)
+
+    def test_checked_build_rejects_a_crc_the_bytes_do_not_match(self, tmp_path):
+        rng = np.random.default_rng(11)
+        store = SpillStore(tmp_path, array_size=8, dtype=np.float64)
+        data = make_chunk(rng, 4, 8)
+        crc = spill.chunk_crc32(data)
+        with sanitizer(True):
+            with pytest.raises(SpillCorruptionError, match="buffer changed"):
+                store.commit_chunk(0, 0, data, crc ^ 1)
+            assert read_journal(tmp_path) == []  # no record was appended
+            assert store.commit_chunk(0, 0, data, crc).crc32 == crc
+
     def test_shape_mismatch_rejected(self, tmp_path):
         store = SpillStore(tmp_path, array_size=8, dtype=np.float64)
         with pytest.raises(SpillError):
-            store.commit_chunk(0, 0, np.zeros((4, 9)))
+            commit(store, 0, 0, np.zeros((4, 9)))
 
     def test_corruption_detected(self, tmp_path):
         rng = np.random.default_rng(4)
         store = SpillStore(tmp_path, array_size=8, dtype=np.float64)
-        store.commit_chunk(0, 0, make_chunk(rng, 4, 8))
-        record = store.commit_chunk(1, 4, make_chunk(rng, 4, 8))
+        commit(store, 0, 0, make_chunk(rng, 4, 8))
+        record = commit(store, 1, 4, make_chunk(rng, 4, 8))
         path = spill_path(tmp_path)
         raw = bytearray(path.read_bytes())
         raw[record.start_row * 64 + 11] ^= 0xFF
@@ -137,7 +177,7 @@ class TestCommitAndRead:
     def test_truncation_detected_without_verify(self, tmp_path):
         rng = np.random.default_rng(5)
         store = SpillStore(tmp_path, array_size=8, dtype=np.float64)
-        record = store.commit_chunk(0, 0, make_chunk(rng, 4, 8))
+        record = commit(store, 0, 0, make_chunk(rng, 4, 8))
         path = spill_path(tmp_path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(SpillCorruptionError):
@@ -149,7 +189,7 @@ class TestDirectoryHygiene:
         # The journal is the run's manifest: a second run must not
         # silently start over it.
         first = SpillStore(tmp_path, array_size=8, dtype=np.float64)
-        first.commit_chunk(0, 0, np.zeros((2, 8)))
+        commit(first, 0, 0, np.zeros((2, 8)))
         with pytest.raises(SpillDirectoryError) as excinfo:
             SpillStore(tmp_path, array_size=8, dtype=np.float64)
         message = str(excinfo.value)
@@ -159,7 +199,7 @@ class TestDirectoryHygiene:
 
     def test_reclaim_deletes_previous_run(self, tmp_path):
         first = SpillStore(tmp_path, array_size=8, dtype=np.float64)
-        first.commit_chunk(0, 0, np.zeros((2, 8)))
+        commit(first, 0, 0, np.zeros((2, 8)))
         first.close()
         fresh = SpillStore(tmp_path, array_size=8, dtype=np.float64,
                            reclaim=True)
@@ -203,7 +243,7 @@ class TestResume:
         data = make_chunk(rng, 4, 8)
         first = SpillStore(tmp_path, array_size=8, dtype=np.float64,
                            meta={"total_rows": 20, "budget": "1M"})
-        first.commit_chunk(0, 0, data)
+        commit(first, 0, 0, data)
         second = SpillStore(tmp_path, array_size=8, dtype=np.float64,
                             resume=True, meta={"budget": "2M"})
         assert second.resumed_from == first.run_id
@@ -220,7 +260,7 @@ class TestResume:
 
     def test_resume_rejects_shape_or_dtype_mismatch(self, tmp_path):
         first = SpillStore(tmp_path, array_size=8, dtype=np.float64)
-        first.commit_chunk(0, 0, np.zeros((2, 8)))
+        commit(first, 0, 0, np.zeros((2, 8)))
         with pytest.raises(SpillError, match="array_size"):
             SpillStore(tmp_path, array_size=9, dtype=np.float64, resume=True)
         with pytest.raises(SpillError, match="dtype"):
@@ -228,7 +268,7 @@ class TestResume:
 
     def test_resume_detects_missing_chunk_file(self, tmp_path):
         first = SpillStore(tmp_path, array_size=8, dtype=np.float64)
-        first.commit_chunk(0, 0, np.zeros((2, 8)))
+        commit(first, 0, 0, np.zeros((2, 8)))
         spill_path(tmp_path).unlink()
         with pytest.raises(SpillCorruptionError):
             SpillStore(tmp_path, array_size=8, dtype=np.float64, resume=True)
@@ -252,7 +292,7 @@ class TestJournal:
     def test_header_records_schema_and_meta(self, tmp_path):
         store = SpillStore(tmp_path, array_size=4, dtype=np.float32,
                            meta={"total_rows": 3})
-        store.commit_chunk(0, 0, np.ones((3, 4), dtype=np.float32))
+        commit(store, 0, 0, np.ones((3, 4), dtype=np.float32))
         frames, intact = spill._replay(journal_path(tmp_path))
         assert intact == journal_path(tmp_path).stat().st_size
         header, chunk = frames
@@ -272,7 +312,7 @@ class TestJournal:
                            meta={"total_rows": 10})
         assert spill_path(tmp_path).stat().st_size == 10 * 64
         data = make_chunk(rng, 4, 8)
-        store.commit_chunk(1, 6, data)  # lands at its fixed offset
+        commit(store, 1, 6, data)  # lands at its fixed offset
         assert spill_path(tmp_path).stat().st_size == 10 * 64
         raw = spill_path(tmp_path).read_bytes()
         assert raw[6 * 64 :] == data.tobytes()
@@ -280,8 +320,8 @@ class TestJournal:
     def test_torn_tail_record_is_ignored_on_resume(self, tmp_path):
         rng = np.random.default_rng(12)
         first = SpillStore(tmp_path, array_size=8, dtype=np.float64)
-        first.commit_chunk(0, 0, make_chunk(rng, 2, 8))
-        first.commit_chunk(1, 2, make_chunk(rng, 2, 8))
+        commit(first, 0, 0, make_chunk(rng, 2, 8))
+        commit(first, 1, 2, make_chunk(rng, 2, 8))
         first.close()
         start, end = record_spans(tmp_path)[-1]
         path = journal_path(tmp_path)
@@ -297,7 +337,7 @@ class TestJournal:
         # intact one and replay past them.
         assert path.stat().st_size == start
         data = make_chunk(rng, 2, 8)
-        second.commit_chunk(1, 2, data)
+        commit(second, 1, 2, data)
         second.close()
         third = SpillStore(tmp_path, array_size=8, dtype=np.float64,
                            resume=True)
@@ -311,7 +351,7 @@ class TestJournal:
         rng = np.random.default_rng(13)
         store = SpillStore(tmp_path, array_size=8, dtype=np.float64)
         for index in range(3):
-            store.commit_chunk(index, 2 * index, make_chunk(rng, 2, 8))
+            commit(store, index, 2 * index, make_chunk(rng, 2, 8))
         store.close()
         # Records: header, chunk 0, chunk 1, chunk 2.  Corrupt chunk 1's
         # payload: chunk 2's intact record after it is not trusted.
@@ -329,8 +369,8 @@ class TestJournal:
     def test_last_record_wins_for_a_recommitted_index(self, tmp_path):
         rng = np.random.default_rng(14)
         store = SpillStore(tmp_path, array_size=8, dtype=np.float64)
-        store.commit_chunk(0, 0, make_chunk(rng, 4, 8))
-        newer = store.commit_chunk(0, 0, make_chunk(rng, 4, 8))
+        commit(store, 0, 0, make_chunk(rng, 4, 8))
+        newer = commit(store, 0, 0, make_chunk(rng, 4, 8))
         assert read_journal(tmp_path) == [newer]
         resumed = SpillStore(tmp_path, array_size=8, dtype=np.float64,
                              resume=True)

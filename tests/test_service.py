@@ -422,6 +422,32 @@ class TestSortService:
             assert future.done()
             assert service.stats().queue_depth_requests == 0
 
+    def test_batcher_notifies_only_while_a_flush_waits(self, rng):
+        service = SortService(batch_target_rows=2, linger_ms=60_000.0)
+        wakeup = service._wakeup
+        real_notify_all = wakeup.notify_all
+        batcher_notifies = []
+
+        def counting_notify_all():
+            if threading.current_thread() is service._worker:
+                batcher_notifies.append(1)
+            real_notify_all()
+
+        wakeup.notify_all = counting_notify_all
+        try:
+            for _ in range(3):  # each submit fills the lane: one batch
+                batch = rng.random((2, 8)).astype(np.float32)
+                np.testing.assert_array_equal(
+                    service.submit(batch).result(timeout=30),
+                    np.sort(batch, axis=1),
+                )
+            # The batcher passed its loop top after each of the first two
+            # batches before it took the next; no flush was waiting.
+            assert batcher_notifies == []
+            assert service.flush(timeout=30)
+        finally:
+            service.close(timeout=30)
+
     def test_close_without_drain_fails_queued_requests(self):
         blocker = threading.Event()
 
